@@ -1,50 +1,93 @@
 """Automorphisms of the trace-zero matrix algebra attached to braid
 generators, and batch verification of the relations they satisfy.
 
-The i-th automorphism is exp(ad e_i) exp(ad(-f_i)) exp(ad e_i), a product
-of terminating exponentials of inner derivations, stored as an exact
-integer matrix acting on coordinate vectors in the fixed basis.  It agrees
-with conjugation by the corresponding determinant-one lift, which is how
-the group-level and algebra-level relation checks talk to each other.
+The i-th automorphism is exp(ad e_i) exp(ad(-f_i)) exp(ad e_i).  It equals
+conjugation by the parameter-1 lift of the i-th braid generator, a
+monomial matrix, so it is built here in closed form from that lift's
+permutation and scales: every root line goes to one root line, and the
+operator has few nonzeros per column.  Operators are stored as sparse
+columns and multiplied in that form.  The dense exp(ad) product stays
+available through ``liealg.ad_matrix`` and ``linalg.exp_nilpotent`` as an
+independent check.  Conjugation by lifts is also how the group-level and
+algebra-level relation checks talk to each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .braid import relation_instances
-from .liealg import (LieElement, ad_matrix, basis_indices, basis_matrix,
-                     dimension, generator)
-from .linalg import Matrix, exp_nilpotent
-from .tits import GroupElement, TitsSection, evaluate_word
+from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
+                     basis_matrix, dimension, slot)
+from .linalg import Matrix, Scalar, canonical
+from .tits import (GroupElement, TitsSection, evaluate_word,
+                   normalizer_decompose, sigma_generator)
+
+Column = dict[int, Scalar]  # 0-based row -> nonzero entry
+
+
+def _combine(cols: tuple[Column, ...], vec: Column) -> Column:
+    """The sparse vector sum_r vec[r] * cols[r], zeros dropped."""
+    out: dict[int, Scalar] = {}
+    for r, x in vec.items():
+        for s, y in cols[r].items():
+            out[s] = out.get(s, 0) + x * y
+    return {s: canonical(v) for s, v in out.items() if v != 0}
 
 
 @dataclass(frozen=True)
 class AlgebraAutomorphism:
-    """An invertible linear map on the algebra, in basis coordinates."""
+    """An invertible linear map on the algebra, in basis coordinates.
+
+    cols[k] is the image of the k-th basis vector as a sparse column: a
+    dict from 0-based row to its nonzero, canonical entry.  A dense
+    Matrix is accepted in its place and converted.  Equality is exact.
+    """
 
     n: int
-    op: Matrix
+    cols: tuple[Column, ...]
 
     def __post_init__(self):
+        cols = self.cols
+        if isinstance(cols, Matrix):
+            cols = tuple({r: row[k] for r, row in enumerate(cols.rows)
+                          if row[k] != 0} for k in range(cols.dim))
+            object.__setattr__(self, "cols", cols)
         d = dimension(self.n)
-        if self.op.dim != d:
+        if len(cols) != d:
             raise ValueError(
                 f"operator must be {d}x{d} for rank {self.n}, "
-                f"got {self.op.dim}x{self.op.dim}")
+                f"got {len(cols)}x{len(cols)}")
+
+    @property
+    def op(self) -> Matrix:
+        """The operator as a dense d x d matrix."""
+        d = len(self.cols)
+        rows = [[0] * d for _ in range(d)]
+        for k, col in enumerate(self.cols):
+            for r, x in col.items():
+                rows[r][k] = x
+        return Matrix(rows)
 
     @classmethod
     def identity(cls, n: int) -> AlgebraAutomorphism:
-        return cls(n, Matrix.identity(dimension(n)))
+        return cls(n, tuple({k: 1} for k in range(dimension(n))))
 
     def __mul__(self, other: AlgebraAutomorphism) -> AlgebraAutomorphism:
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
-        return AlgebraAutomorphism(self.n, self.op * other.op)
+        return AlgebraAutomorphism(
+            self.n, tuple(_combine(self.cols, col) for col in other.cols))
 
     def __pow__(self, k: int) -> AlgebraAutomorphism:
-        return AlgebraAutomorphism(self.n, self.op ** k)
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = AlgebraAutomorphism.identity(self.n)
+        for _ in range(k):
+            out = out * self
+        return out
 
     def inverse(self) -> AlgebraAutomorphism:
         return AlgebraAutomorphism(self.n, self.op.inv())
@@ -52,41 +95,58 @@ class AlgebraAutomorphism:
     def apply(self, x: LieElement) -> LieElement:
         if x.n != self.n:
             raise ValueError(f"rank mismatch: {self.n} vs {x.n}")
-        coords = tuple(
-            sum(a * c for a, c in zip(row, x.coords))
-            for row in self.op.rows)
-        return LieElement(self.n, coords)
+        coords = _combine(self.cols, dict(enumerate(x.coords)))
+        return LieElement(self.n, tuple(coords.get(r, 0)
+                                        for r in range(len(self.cols))))
+
+
+def _lift_automorphism(n: int, i: int, inverse: bool) -> AlgebraAutomorphism:
+    """Conjugation by the parameter-1 lift of S_i, or by its inverse.
+
+    Read the lift as g = sum_j s_j E_{sigma(j), j}.  Then x -> g x g^{-1}
+    sends E_jk to (s_j / s_k) E_{sigma(j), sigma(k)}, and the coroot h_k
+    to the diagonal matrix E_{sigma(k), sigma(k)} - E_{sigma(k+1),
+    sigma(k+1)}, whose h-coordinates are its cumulative sums.
+    """
+    dec = normalizer_decompose(sigma_generator(TitsSection.ones(n), i))
+    if inverse:
+        dec = dec.inverse()
+    sigma, s = dec.sigma, dec.scales
+    cols = []
+    for idx in basis_indices(n):
+        if isinstance(idx, OffDiagonal):
+            target = OffDiagonal(sigma(idx.row), sigma(idx.col))
+            ratio = Fraction(s[idx.row - 1]) / s[idx.col - 1]
+            cols.append({slot(n, target): canonical(ratio)})
+            continue
+        diag = [0] * (n + 1)
+        diag[sigma(idx.index) - 1] = 1
+        diag[sigma(idx.index + 1) - 1] = -1
+        col = {}
+        running = 0
+        for m in range(1, n + 1):
+            running += diag[m - 1]
+            if running:
+                col[slot(n, Cartan(m))] = running
+        cols.append(col)
+    return AlgebraAutomorphism(n, tuple(cols))
 
 
 @lru_cache(maxsize=None)
 def tau_generator(n: int, i: int) -> AlgebraAutomorphism:
     """exp(ad e_i) exp(ad(-f_i)) exp(ad e_i) as a coordinate operator."""
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range 1..{n}")
-    ad_e = ad_matrix(generator(n, "e", i))
-    ad_f = ad_matrix(generator(n, "f", i))
-    return AlgebraAutomorphism(
-        n, exp_nilpotent(ad_e) * exp_nilpotent(-ad_f) * exp_nilpotent(ad_e))
+    return _lift_automorphism(n, i, inverse=False)
 
 
-@lru_cache(maxsize=None)
 def _tau_inverse(n: int, i: int) -> AlgebraAutomorphism:
-    """tau_i^{-1}, computed as tau_i^3 and cross-checked against inv().
-
-    The generator has order four, so the cube is the inverse; the cheap
-    route is verified against exact Gaussian elimination once per (n, i)
-    and then cached.
-    """
-    cube = tau_generator(n, i) ** 3
-    assert cube.op == tau_generator(n, i).op.inv()
-    return cube
+    """tau_i^{-1}, as conjugation by the inverse lift."""
+    return _lift_automorphism(n, i, inverse=True)
 
 
 @lru_cache(maxsize=None)
 def _tau_power(n: int, i: int, e: int) -> AlgebraAutomorphism:
-    if e >= 0:
-        return tau_generator(n, i) ** e
-    return _tau_inverse(n, i) ** (-e)
+    """tau_i^e for a letter's exponent e, which is +1 or -1."""
+    return tau_generator(n, i) if e == 1 else _tau_inverse(n, i)
 
 
 def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
@@ -120,10 +180,14 @@ class RelationCheck:
 
 @dataclass(frozen=True)
 class RelationReport:
-    """All relation checks for one rank, in deterministic order."""
+    """All relation checks for one rank, sorted by (tag, i, j)."""
 
     n: int
     relations: tuple[RelationCheck, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "relations", tuple(
+            sorted(self.relations, key=lambda r: (r.tag, r.i, r.j))))
 
     @property
     def all_pass(self) -> bool:
@@ -134,12 +198,11 @@ class RelationReport:
 
 
 def report_to_json(rep: RelationReport) -> dict:
-    rels = sorted(rep.relations, key=lambda r: (r.tag, r.i, r.j))
     return {
         "n": rep.n,
         "relations": [
             {"tag": r.tag, "i": r.i, "j": r.j, "pass": r.passed}
-            for r in rels
+            for r in rep.relations
         ],
         "all_pass": rep.all_pass,
     }
@@ -169,19 +232,19 @@ def _word_operator(n: int, letters) -> AlgebraAutomorphism:
 def verify_theorem1(n: int) -> RelationReport:
     """Check every defining relation at the algebra level for rank n.
 
-    Relations are evaluated as products of the cached generator operators
-    and compared entrywise; the report tags are the algebra-level ones.
+    Relations are evaluated as sparse products of the cached generator
+    operators and compared exactly; the report tags are the algebra-level
+    ones.  A failing check carries both sides as dense matrices.
     """
     checks = []
     for inst in relation_instances(n):
         left = _word_operator(n, inst.left.letters)
         right = _word_operator(n, inst.right.letters)
-        passed = left.op == right.op
+        passed = left == right
         checks.append(RelationCheck(
             _ADJOINT_TAG[inst.tag], inst.i, inst.j, passed,
             left=None if passed else left.op,
             right=None if passed else right.op))
-    checks.sort(key=lambda r: (r.tag, r.i, r.j))
     return RelationReport(n, tuple(checks))
 
 
@@ -196,5 +259,4 @@ def verify_group_relations(s: TitsSection) -> RelationReport:
             inst.tag, inst.i, inst.j, passed,
             left=None if passed else left.m,
             right=None if passed else right.m))
-    checks.sort(key=lambda r: (r.tag, r.i, r.j))
     return RelationReport(s.n, tuple(checks))

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .autos import (RelationReport, report_to_json, verify_group_relations,
                     verify_theorem1)
-from .braid import is_pure, natural_projection, parse_word
+from .braid import natural_projection, parse_word
 from .linalg import canonical, matrix_from_json, matrix_to_json, scalar_to_str
 from .tits import (GroupElement, NotInNormalizer, TitsSection, coset_class,
                    evaluate_word, normalizer_decompose)
@@ -36,11 +37,12 @@ def _parse_params(n: int, text: str | None) -> TitsSection:
 
 
 def _merge_reports(reports: list[RelationReport]) -> dict:
+    # each report is sorted, and every algebra tag ("0.x") sorts before
+    # every group tag ("2.x"), so adjoint-then-group keeps the order
     n = reports[0].n
     rels = []
     for rep in reports:
         rels.extend(report_to_json(rep)["relations"])
-    rels.sort(key=lambda r: (r["tag"], r["i"], r["j"]))
     return {
         "n": n,
         "relations": rels,
@@ -72,8 +74,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     text = json.dumps(payload, indent=2)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     else:
         print(text)
     return 0 if payload["all_pass"] else RELATION_ERROR
@@ -101,7 +107,7 @@ def cmd_eval_word(args: argparse.Namespace) -> int:
         "permutation": list(dec.sigma.images),
         "scales": [scalar_to_str(x) for x in dec.scales],
         "projection": list(proj.images),
-        "pure": is_pure(word),
+        "pure": proj.is_identity(),
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -182,7 +188,26 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize anything else
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: report that, not a verdict, and
+        # send the unflushed rest to the null device so exit stays quiet
+        _discard_stdout()
+        print("error: standard output was closed", file=sys.stderr)
+        return USAGE_ERROR
+    return code
+
+
+def _discard_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .linalg import Matrix, Scalar, canonical, scalar_to_str
+from .linalg import Matrix, Scalar, canonical, parse_scalar, scalar_to_str
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,7 @@ def lie_element_to_json(x: LieElement) -> dict:
 
 def lie_element_from_json(obj: dict) -> LieElement:
     try:
-        return LieElement(obj["n"], tuple(obj["coords"]))
+        return LieElement(obj["n"],
+                          tuple(parse_scalar(c) for c in obj["coords"]))
     except (TypeError, KeyError) as exc:
         raise ValueError("lie element JSON needs 'n' and 'coords'") from exc

@@ -10,6 +10,7 @@ exact; nothing in this package ever touches floating point.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -39,6 +40,33 @@ def canonical(x: Scalar | str) -> Scalar:
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return int(x) if x.denominator == 1 else x
+
+
+_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_scalar(x: object) -> Scalar:
+    """Read a scalar from JSON: an int, or a string "p" or "p/q".
+
+    Floats, booleans, decimal strings and zero denominators are rejected
+    with ValueError, so input stays as exact as the output format.
+
+    >>> parse_scalar("6/4")
+    Fraction(3, 2)
+    >>> parse_scalar(0.5)
+    Traceback (most recent call last):
+    ...
+    ValueError: scalar must be an int or a string "p" or "p/q", got 0.5
+    """
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if not isinstance(x, str) or not _SCALAR_TEXT.fullmatch(x):
+        raise ValueError(
+            f'scalar must be an int or a string "p" or "p/q", got {x!r}')
+    try:
+        return canonical(Fraction(x))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def scalar_to_str(x: Scalar) -> str:
@@ -243,6 +271,7 @@ def matrix_from_json(obj: dict) -> Matrix:
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise ValueError("matrix JSON needs 'dim' and 'entries'") from exc
-    if len(entries) != dim or any(len(row) != dim for row in entries):
+    if not isinstance(entries, list) or len(entries) != dim or any(
+            not isinstance(row, list) or len(row) != dim for row in entries):
         raise ValueError("matrix JSON entries do not match dim")
-    return Matrix(entries)
+    return Matrix([[parse_scalar(x) for x in row] for row in entries])

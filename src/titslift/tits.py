@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .braid import BraidWord
-from .linalg import Matrix, Scalar, canonical, scalar_to_str
+from .linalg import Matrix, Scalar, canonical, parse_scalar, scalar_to_str
 from .roots import Permutation
 
 
@@ -91,7 +91,7 @@ def section_to_json(s: TitsSection) -> dict:
 
 def section_from_json(obj: dict) -> TitsSection:
     try:
-        return TitsSection(obj["n"], tuple(obj["a"]))
+        return TitsSection(obj["n"], tuple(parse_scalar(a) for a in obj["a"]))
     except (TypeError, KeyError) as exc:
         raise ValueError("section JSON needs 'n' and 'a'") from exc
 
@@ -161,6 +161,16 @@ class MonomialDecomposition:
         object.__setattr__(self, "scales", scales)
         if any(x == 0 for x in scales):
             raise ValueError("monomial scales must be nonzero")
+
+    def inverse(self) -> MonomialDecomposition:
+        """The decomposition of the inverse matrix.
+
+        The inverse holds 1/scales[j-1] in row j of column sigma(j).
+        """
+        inv = self.sigma.inverse()
+        return MonomialDecomposition(inv, tuple(
+            Fraction(1) / self.scales[inv(c) - 1]
+            for c in range(1, inv.n_points + 1)))
 
     def reconstruct(self) -> GroupElement:
         dim = self.sigma.n_points

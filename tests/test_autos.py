@@ -2,17 +2,24 @@
 the algebra, the relations they satisfy, and the report plumbing."""
 
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from titslift.autos import (AlgebraAutomorphism, RelationCheck,
-                            RelationReport, conjugation_automorphism,
-                            report_from_json, report_to_json, tau_generator,
+                            RelationReport, _tau_inverse, _word_operator,
+                            conjugation_automorphism, report_from_json,
+                            report_to_json, tau_generator,
                             verify_group_relations, verify_theorem1)
-from titslift.liealg import (LieElement, basis_indices, bracket,
+from titslift.braid import BraidWord, relation_instances
+from titslift.liealg import (LieElement, ad_matrix, basis_indices, bracket,
                              decompose_by_cartan, dimension, generator)
-from titslift.linalg import Matrix
-from titslift.tits import TitsSection, exp_construction, sigma_generator
+from titslift.linalg import Matrix, exp_nilpotent
+from titslift.tits import TitsSection, evaluate_word, sigma_generator
+
+# algebra-level tag -> group-level tag of the same relation family
+PAIR_TAGS = {"0.2": "2.9", "0.4": "2.10", "0.5": "2.11", "0.6": "2.12"}
 
 
 def test_rank_one_generator_action():
@@ -147,13 +154,92 @@ def test_conjugation_by_diagonal_fixes_cartan_coordinates():
 
 
 def test_group_and_algebra_reports_agree_instance_by_instance():
-    pair_tags = {"0.2": "2.9", "0.4": "2.10", "0.5": "2.11", "0.6": "2.12"}
     for n in (1, 2, 3):
-        adjoint = {(pair_tags[r.tag], r.i, r.j): r.passed
+        adjoint = {(PAIR_TAGS[r.tag], r.i, r.j): r.passed
                    for r in verify_theorem1(n).relations}
         group = {(r.tag, r.i, r.j): r.passed
                  for r in verify_group_relations(TitsSection.ones(n)).relations}
         assert adjoint == group
+        # the operators themselves, not just the verdicts: each side's
+        # sparse word operator is dense conjugation by the evaluated word
+        s = TitsSection.ones(n)
+        for inst in relation_instances(n):
+            for w in (inst.left, inst.right):
+                conj = conjugation_automorphism(evaluate_word(s, w), n)
+                assert _word_operator(n, w.letters) == conj
+
+
+def test_generator_matches_the_exp_ad_product():
+    # the closed form against the dense product it replaces
+    for n in range(1, 5):
+        for i in range(1, n + 1):
+            ad_e = ad_matrix(generator(n, "e", i))
+            ad_f = ad_matrix(generator(n, "f", i))
+            dense = (exp_nilpotent(ad_e) * exp_nilpotent(-ad_f)
+                     * exp_nilpotent(ad_e))
+            tau = tau_generator(n, i)
+            assert tau.op == dense
+            assert tau * _tau_inverse(n, i) == AlgebraAutomorphism.identity(n)
+            assert _tau_inverse(n, i).op == dense.inv()
+
+
+def test_sparse_and_dense_forms_agree():
+    rng = random.Random(71)
+    n = 2
+    d = dimension(n)
+    a = Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+    b = Matrix([[rng.choice([0, 0, Fraction(rng.randint(-3, 3), 2)])
+                 for _ in range(d)] for _ in range(d)])
+    prod = AlgebraAutomorphism(n, a) * AlgebraAutomorphism(n, b)
+    assert prod.op == a * b
+    assert prod == AlgebraAutomorphism(n, a * b)
+    assert all(0 not in col.values() for col in prod.cols)
+    assert all(type(x) is int or x.denominator != 1
+               for col in prod.cols for x in col.values())
+
+
+def _square_is_trivial(inst):
+    # S_i^2 = 1 in place of S_i^4 = 1
+    if inst.tag != "2.11":
+        return inst
+    return replace(inst, left=BraidWord.from_ints(inst.left.n, [inst.i] * 2))
+
+
+def _flip_last_exponent(inst):
+    # 2.12 with the left word's final S_i^{-1} changed to S_i
+    if inst.tag != "2.12":
+        return inst
+    letters = inst.left.letters[:-1] + ((inst.i, 1),)
+    return replace(inst, left=BraidWord(inst.left.n, letters))
+
+
+@pytest.mark.parametrize("mutate,tag", [(_square_is_trivial, "2.11"),
+                                        (_flip_last_exponent, "2.12")])
+def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
+                                                     tag):
+    import titslift.autos as autos
+    for n in (2, 3):
+        table = [mutate(inst) for inst in relation_instances(n)]
+        monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+        adjoint = verify_theorem1(n)
+        group = verify_group_relations(TitsSection(n, (2,) * n))
+        failed = {(PAIR_TAGS[r.tag], r.i, r.j) for r in adjoint.failures()}
+        assert failed == {(r.tag, r.i, r.j) for r in group.failures()}
+        assert failed and {t for t, _, _ in failed} == {tag}
+        assert not report_to_json(adjoint)["all_pass"]
+        assert not report_to_json(group)["all_pass"]
+        for r in adjoint.failures() + group.failures():
+            assert r.left != r.right
+
+
+def test_algebra_level_cannot_see_the_centre_at_rank_one(monkeypatch):
+    # S_1^2 evaluates to -1, which is central: the group level rejects
+    # S_1^2 = 1 while conjugation by -1 is the identity operator
+    import titslift.autos as autos
+    table = [_square_is_trivial(inst) for inst in relation_instances(1)]
+    monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+    assert not verify_group_relations(TitsSection.ones(1)).all_pass
+    assert verify_theorem1(1).all_pass
 
 
 def test_conjugation_is_a_homomorphism():

@@ -1,6 +1,11 @@
 """Command-line behavior: exit codes, JSON payloads, file handling."""
 
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
@@ -165,3 +170,71 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def _write_matrix(tmp_path, entries):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": len(entries), "entries": entries}))
+    return str(path)
+
+
+def _assert_input_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_normalizer_check_rejects_zero_denominator(tmp_path, capsys):
+    path = _write_matrix(tmp_path, [["1/0", "0"], ["0", "1"]])
+    code, out, err = run(capsys, ["normalizer-check", "--matrix", path])
+    _assert_input_error(code, err)
+    assert out == ""
+
+
+def test_normalizer_check_rejects_float_entry(tmp_path, capsys):
+    path = _write_matrix(tmp_path, [[0.5, 0], [0, 2]])
+    code, out, err = run(capsys, ["normalizer-check", "--matrix", path])
+    _assert_input_error(code, err)
+    assert out == ""
+
+
+def test_normalizer_check_rejects_boolean_entry(tmp_path, capsys):
+    path = _write_matrix(tmp_path, [[True, 0], [0, 1]])
+    code, out, err = run(capsys, ["normalizer-check", "--matrix", path])
+    _assert_input_error(code, err)
+    assert out == ""
+
+
+def test_verify_unwritable_report_path(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "r.json"
+    code, out, err = run(capsys, ["verify", "--n", "1", "--json", str(path)])
+    _assert_input_error(code, err)
+    assert out == ""
+
+
+class ClosedStream(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_an_io_error_not_a_verdict(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedStream())
+    code = main(["eval-word", "--n", "2", "--word", "1 2"])
+    err = capsys.readouterr().err
+    _assert_input_error(code, err)
+
+
+def test_verify_under_python_optimize_flag():
+    # library invariants must not rest on assert, which -O strips
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "titslift.cli", "verify", "--n", "4",
+         "--level", "all"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True

@@ -150,3 +150,6 @@ def test_json_round_trip():
     assert lie_element_from_json(obj) == x
     with pytest.raises(ValueError):
         lie_element_from_json({"n": 1})
+    for bad in (0.5, True, "1/0"):
+        with pytest.raises(ValueError):
+            lie_element_from_json({"n": 1, "coords": ["1", bad, "0"]})

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from titslift.linalg import (Matrix, NotNilpotentError, SingularMatrixError,
                              canonical, exp_nilpotent, matrix_from_json,
-                             matrix_to_json, scalar_to_str)
+                             matrix_to_json, parse_scalar, scalar_to_str)
 
 
 def test_canonical_collapses_integral_fractions():
@@ -138,3 +138,22 @@ def test_json_rejects_garbage():
         matrix_from_json({"dim": 2})
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 2, "entries": [["1", "0"]]})
+    with pytest.raises(ValueError):
+        matrix_from_json({"dim": 1, "entries": 5})
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, float("inf"), True, False, None,
+                                 "1/0", "0.5", "1e3", " 1", "1/-2", "",
+                                 [1]])
+def test_scalar_parser_accepts_only_ints_and_fraction_strings(bad):
+    with pytest.raises(ValueError):
+        parse_scalar(bad)
+    with pytest.raises(ValueError):
+        matrix_from_json({"dim": 1, "entries": [[bad]]})
+
+
+def test_scalar_parser_reads_ints_and_fraction_strings():
+    assert parse_scalar(-7) == -7
+    assert parse_scalar("-7") == -7
+    assert parse_scalar("10/4") == Fraction(5, 2)
+    assert type(parse_scalar("4/2")) is int

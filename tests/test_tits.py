@@ -66,6 +66,9 @@ def test_section_json_round_trip():
     assert section_from_json(obj) == s
     with pytest.raises(ValueError):
         section_from_json({"n": 2})
+    for bad in (0.5, True, "1/0"):
+        with pytest.raises(ValueError):
+            section_from_json({"n": 2, "a": ["1", bad]})
 
 
 def test_sigma_block_shape():
