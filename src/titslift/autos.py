@@ -22,8 +22,7 @@ from .braid import relation_instances
 from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
                      basis_matrix, dimension, slot)
 from .linalg import Matrix, Scalar, canonical
-from .tits import (GroupElement, TitsSection, evaluate_word,
-                   normalizer_decompose, sigma_generator)
+from .tits import GroupElement, TitsSection, evaluate_word, monomial_lift
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
 
@@ -100,17 +99,17 @@ class AlgebraAutomorphism:
                                         for r in range(len(self.cols))))
 
 
-def _lift_automorphism(n: int, i: int, inverse: bool) -> AlgebraAutomorphism:
-    """Conjugation by the parameter-1 lift of S_i, or by its inverse.
+@lru_cache(maxsize=None)
+def _tau_power(n: int, i: int, e: int) -> AlgebraAutomorphism:
+    """tau_i^e for a letter's exponent e, which is +1 or -1.
 
-    Read the lift as g = sum_j s_j E_{sigma(j), j}.  Then x -> g x g^{-1}
-    sends E_jk to (s_j / s_k) E_{sigma(j), sigma(k)}, and the coroot h_k
-    to the diagonal matrix E_{sigma(k), sigma(k)} - E_{sigma(k+1),
-    sigma(k+1)}, whose h-coordinates are its cumulative sums.
+    This is conjugation by S_i^e, the e-th power of the parameter-1 lift.
+    Read it as g = sum_j s_j E_{sigma(j), j}.  Then x -> g x g^{-1} sends
+    E_jk to (s_j / s_k) E_{sigma(j), sigma(k)}, and the coroot h_k to the
+    diagonal matrix E_{sigma(k), sigma(k)} - E_{sigma(k+1), sigma(k+1)},
+    whose h-coordinates are its cumulative sums.
     """
-    dec = normalizer_decompose(sigma_generator(TitsSection.ones(n), i))
-    if inverse:
-        dec = dec.inverse()
+    dec = monomial_lift(TitsSection.ones(n), i, e)
     sigma, s = dec.sigma, dec.scales
     cols = []
     for idx in basis_indices(n):
@@ -132,21 +131,9 @@ def _lift_automorphism(n: int, i: int, inverse: bool) -> AlgebraAutomorphism:
     return AlgebraAutomorphism(n, tuple(cols))
 
 
-@lru_cache(maxsize=None)
 def tau_generator(n: int, i: int) -> AlgebraAutomorphism:
     """exp(ad e_i) exp(ad(-f_i)) exp(ad e_i) as a coordinate operator."""
-    return _lift_automorphism(n, i, inverse=False)
-
-
-def _tau_inverse(n: int, i: int) -> AlgebraAutomorphism:
-    """tau_i^{-1}, as conjugation by the inverse lift."""
-    return _lift_automorphism(n, i, inverse=True)
-
-
-@lru_cache(maxsize=None)
-def _tau_power(n: int, i: int, e: int) -> AlgebraAutomorphism:
-    """tau_i^e for a letter's exponent e, which is +1 or -1."""
-    return tau_generator(n, i) if e == 1 else _tau_inverse(n, i)
+    return _tau_power(n, i, 1)
 
 
 def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:

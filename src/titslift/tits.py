@@ -22,7 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .braid import BraidWord
-from .linalg import Matrix, Scalar, canonical, parse_scalar, scalar_to_str
+from .linalg import (Matrix, Scalar, canonical, exp_nilpotent, parse_scalar,
+                     scalar_to_str)
 from .roots import Permutation
 
 
@@ -98,22 +99,8 @@ def section_from_json(obj: dict) -> TitsSection:
 
 @lru_cache(maxsize=None)
 def sigma_generator(s: TitsSection, i: int) -> GroupElement:
-    """The i-th monomial lift of the section s."""
-    if not 1 <= i <= s.n:
-        raise ValueError(f"generator index {i} out of range 1..{s.n}")
-    a = s.params[i - 1]
-    rows = [[1 if r == c else 0 for c in range(s.n + 1)]
-            for r in range(s.n + 1)]
-    rows[i - 1][i - 1] = 0
-    rows[i][i] = 0
-    rows[i - 1][i] = a
-    rows[i][i - 1] = canonical(Fraction(-1) / Fraction(a))
-    return GroupElement(Matrix(rows))
-
-
-@lru_cache(maxsize=None)
-def _sigma_generator_inv(s: TitsSection, i: int) -> GroupElement:
-    return sigma_generator(s, i).inv()
+    """The i-th monomial lift of the section s, as a dense matrix."""
+    return monomial_lift(s, i, 1).reconstruct()
 
 
 def exp_construction(n: int, i: int) -> GroupElement:
@@ -122,7 +109,6 @@ def exp_construction(n: int, i: int) -> GroupElement:
     Multiplies exp(e_i) exp(-f_i) exp(e_i), an independent construction
     path that must agree with sigma_generator at parameter 1.
     """
-    from .linalg import exp_nilpotent
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range 1..{n}")
     e = Matrix.unit(n + 1, i, i + 1)
@@ -131,14 +117,18 @@ def exp_construction(n: int, i: int) -> GroupElement:
 
 
 def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
-    """Evaluate a braid word as a product of section lifts."""
+    """Evaluate a braid word as a product of section lifts.
+
+    The product is taken in (permutation, scales) form; the dense matrix
+    and its determinant check come once, at the end.
+    """
     if s.n != w.n:
         raise ValueError(f"rank mismatch: section {s.n} vs word {w.n}")
-    out = Matrix.identity(s.n + 1)
+    dim = s.n + 1
+    out = MonomialDecomposition(Permutation.identity(dim), (1,) * dim)
     for i, e in w.letters:
-        g = sigma_generator(s, i) if e == 1 else _sigma_generator_inv(s, i)
-        out = out * g.m
-    return GroupElement(out)
+        out = out * monomial_lift(s, i, e)
+    return out.reconstruct()
 
 
 @dataclass(frozen=True)
@@ -162,6 +152,12 @@ class MonomialDecomposition:
         if any(x == 0 for x in scales):
             raise ValueError("monomial scales must be nonzero")
 
+    def __mul__(self, other: MonomialDecomposition) -> MonomialDecomposition:
+        """The decomposition of the matrix product self * other."""
+        return MonomialDecomposition(self.sigma * other.sigma, tuple(
+            self.scales[other.sigma(k) - 1] * t
+            for k, t in enumerate(other.scales, start=1)))
+
     def inverse(self) -> MonomialDecomposition:
         """The decomposition of the inverse matrix.
 
@@ -178,6 +174,26 @@ class MonomialDecomposition:
         for col in range(1, dim + 1):
             rows[self.sigma(col) - 1][col - 1] = self.scales[col - 1]
         return GroupElement(Matrix(rows))
+
+
+@lru_cache(maxsize=None)
+def monomial_lift(s: TitsSection, i: int, e: int) -> MonomialDecomposition:
+    """S_i^e for the section s, where e is +1 or -1.
+
+    S_i swaps slots i and i+1, with -1/a_i in column i and a_i in column
+    i+1.  Every other form of the lift, dense or adjoint, is read off this.
+    """
+    if not 1 <= i <= s.n:
+        raise ValueError(f"generator index {i} out of range 1..{s.n}")
+    if e == -1:
+        return monomial_lift(s, i, 1).inverse()
+    if e != 1:
+        raise ValueError(f"exponent must be +1 or -1, got {e}")
+    scales = [1] * (s.n + 1)
+    scales[i - 1] = Fraction(-1) / s.params[i - 1]
+    scales[i] = s.params[i - 1]
+    return MonomialDecomposition(
+        Permutation.transposition(s.n + 1, i, i + 1), tuple(scales))
 
 
 def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:
@@ -217,12 +233,8 @@ def coset_representative(sigma: Permutation) -> GroupElement:
     Column 1 carries sign(sigma), every other column carries 1, in rows
     sigma(1), .., sigma(n+1).
     """
-    dim = sigma.n_points
-    rows = [[0] * dim for _ in range(dim)]
-    rows[sigma(1) - 1][0] = sigma.sign()
-    for col in range(2, dim + 1):
-        rows[sigma(col) - 1][col - 1] = 1
-    return GroupElement(Matrix(rows))
+    scales = (sigma.sign(),) + (1,) * (sigma.n_points - 1)
+    return MonomialDecomposition(sigma, scales).reconstruct()
 
 
 def coset_class(x: GroupElement) -> Permutation:

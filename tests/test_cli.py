@@ -68,6 +68,23 @@ def test_verify_rejects_bad_params(capsys):
     assert code == 2
 
 
+def test_verify_rejects_decimal_params(capsys):
+    code, out, err = run(capsys, ["verify", "--n", "2", "--level", "group",
+                                  "--params", "1.5,2"])
+    _assert_input_error(code, err)
+    assert "'1.5'" in err
+    assert out == ""
+
+
+def test_params_zero_denominator_is_named(capsys):
+    for cmd in (["verify", "--n", "2"],
+                ["eval-word", "--n", "2", "--word", "1"]):
+        code, out, err = run(capsys, cmd + ["--params", "1/0,2"])
+        _assert_input_error(code, err)
+        assert "zero denominator in '1/0'" in err
+        assert out == ""
+
+
 def test_verify_writes_report_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, ["verify", "--n", "1", "--json", str(path)])
@@ -130,6 +147,29 @@ def test_normalizer_check_accepts_monomial(tmp_path, capsys):
     assert payload["permutation"] == [2, 1]
     assert payload["scales"] == ["1", "-1"]
     assert payload["coset"] == [2, 1]
+
+
+def test_normalizer_check_decomposes_once(tmp_path, capsys, monkeypatch):
+    import titslift.cli
+    import titslift.tits
+    calls = []
+    original = titslift.tits.normalizer_decompose
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(titslift.tits, "normalizer_decompose", counted)
+    monkeypatch.setattr(titslift.cli, "normalizer_decompose", counted)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 3, "entries": [["0", "0", "1/2"],
+                                                      ["-1", "0", "0"],
+                                                      ["0", "-2", "0"]]}))
+    code, out, _ = run(capsys, ["normalizer-check", "--matrix", str(path)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["coset"] == payload["permutation"] == [2, 3, 1]
+    assert len(calls) == 1
 
 
 def test_normalizer_check_identity(tmp_path, capsys):

@@ -13,7 +13,7 @@ from titslift.tits import (GroupElement, MonomialDecomposition,
                            NoExactWitness, NotInNormalizer, TitsSection,
                            conjugation_witness, coset_class,
                            coset_representative, evaluate_word,
-                           exp_construction, is_monomial,
+                           exp_construction, is_monomial, monomial_lift,
                            normalizer_decompose, rational_nth_root,
                            section_from_json, section_to_json,
                            sigma_generator, torus_generation_witness)
@@ -33,6 +33,19 @@ def random_torus(rng, dim):
         prod *= x
     entries.append(1 / prod)
     return GroupElement(Matrix.diagonal(entries))
+
+
+def random_monomial(rng, dim):
+    images = list(range(1, dim + 1))
+    rng.shuffle(images)
+    sigma = Permutation(tuple(images))
+    scales = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+              for _ in range(dim - 1)]
+    prod = Fraction(sigma.sign())
+    for x in scales:
+        prod *= x
+    scales.append(1 / prod)  # determinant one, so reconstruct() accepts it
+    return MonomialDecomposition(sigma, tuple(scales))
 
 
 def test_group_element_requires_det_one():
@@ -123,6 +136,45 @@ def test_evaluate_word_identities():
     assert lhs.m == rhs.m
     with pytest.raises(ValueError):
         evaluate_word(s, parse_word(3, "1"))
+
+
+def test_evaluate_word_matches_the_dense_product():
+    # the monomial fold against the dense product of the dense lifts
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        s = random_section(rng, n)
+        w = parse_word(n, " ".join(
+            str(rng.choice([-1, 1]) * rng.randint(1, n))
+            for _ in range(rng.randint(0, 12))))
+        dense = Matrix.identity(n + 1)
+        for i, e in w.letters:
+            g = sigma_generator(s, i).m
+            dense = dense * (g if e == 1 else g.inv())
+        assert evaluate_word(s, w).m == dense
+
+
+def test_monomial_product_matches_matrix_product():
+    rng = random.Random(29)
+    for _ in range(30):
+        dim = rng.randint(1, 5)
+        a, b = random_monomial(rng, dim), random_monomial(rng, dim)
+        assert (a * b).reconstruct().m == \
+            a.reconstruct().m * b.reconstruct().m
+
+
+def test_monomial_lift_times_its_inverse_is_the_identity():
+    rng = random.Random(31)
+    for n in (1, 2, 3, 4):
+        s = random_section(rng, n)
+        for i in range(1, n + 1):
+            prod = monomial_lift(s, i, 1) * monomial_lift(s, i, -1)
+            assert prod.sigma.is_identity()
+            assert prod.scales == (1,) * (n + 1)
+    with pytest.raises(ValueError):
+        monomial_lift(TitsSection.ones(2), 1, 2)
+    with pytest.raises(ValueError):
+        monomial_lift(TitsSection.ones(2), 3, 1)
 
 
 def test_normalizer_decompose_diagonal_and_permutation():
