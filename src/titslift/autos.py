@@ -22,7 +22,7 @@ from .braid import relation_instances
 from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
                      basis_matrix, dimension, slot)
 from .linalg import Matrix, Scalar, canonical
-from .tits import GroupElement, TitsSection, evaluate_word, monomial_lift
+from .tits import GroupElement, TitsSection, monomial_lift, monomial_word
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
 
@@ -152,8 +152,8 @@ def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
 class RelationCheck:
     """Outcome of one relation instance: tag, indices, verdict.
 
-    On failure, left and right hold the two evaluated sides so the
-    offending matrices can be inspected; they stay None on a pass and
+    On failure, left and right hold the two evaluated sides, operators
+    or monomials, so they can be inspected; they stay None on a pass and
     never take part in equality or the JSON form.
     """
 
@@ -216,34 +216,37 @@ def _word_operator(n: int, letters) -> AlgebraAutomorphism:
     return out
 
 
+def _sweep(n: int, tag, value) -> RelationReport:
+    """Value both words of every relation instance and compare them exactly.
+
+    tag maps the table's group-level tag to the report's, and value takes
+    a word to its value.  A failing check keeps the two values.
+    """
+    checks = []
+    for inst in relation_instances(n):
+        left, right = value(inst.left), value(inst.right)
+        passed = left == right
+        checks.append(RelationCheck(
+            tag(inst.tag), inst.i, inst.j, passed,
+            left=None if passed else left,
+            right=None if passed else right))
+    return RelationReport(n, tuple(checks))
+
+
 def verify_theorem1(n: int) -> RelationReport:
     """Check every defining relation at the algebra level for rank n.
 
     Relations are evaluated as sparse products of the cached generator
     operators and compared exactly; the report tags are the algebra-level
-    ones.  A failing check carries both sides as dense matrices.
+    ones.
     """
-    checks = []
-    for inst in relation_instances(n):
-        left = _word_operator(n, inst.left.letters)
-        right = _word_operator(n, inst.right.letters)
-        passed = left == right
-        checks.append(RelationCheck(
-            _ADJOINT_TAG[inst.tag], inst.i, inst.j, passed,
-            left=None if passed else left.op,
-            right=None if passed else right.op))
-    return RelationReport(n, tuple(checks))
+    return _sweep(n, _ADJOINT_TAG.__getitem__,
+                  lambda w: _word_operator(n, w.letters))
 
 
 def verify_group_relations(s: TitsSection) -> RelationReport:
-    """Check every defining relation for the lifts of one section."""
-    checks = []
-    for inst in relation_instances(s.n):
-        left = evaluate_word(s, inst.left)
-        right = evaluate_word(s, inst.right)
-        passed = left.m == right.m
-        checks.append(RelationCheck(
-            inst.tag, inst.i, inst.j, passed,
-            left=None if passed else left.m,
-            right=None if passed else right.m))
-    return RelationReport(s.n, tuple(checks))
+    """Check every defining relation for the lifts of one section.
+
+    Words are compared as (permutation, scales) pairs.
+    """
+    return _sweep(s.n, str, lambda w: monomial_word(s, w))

@@ -21,7 +21,7 @@ from .autos import (RelationReport, report_to_json, verify_group_relations,
 from .braid import natural_projection, parse_word
 from .linalg import (matrix_from_json, matrix_to_json, parse_scalar,
                      scalar_to_str)
-from .tits import (GroupElement, NotInNormalizer, TitsSection, evaluate_word,
+from .tits import (GroupElement, NotInNormalizer, TitsSection, monomial_word,
                    normalizer_decompose)
 
 USAGE_ERROR = 2
@@ -39,20 +39,6 @@ def _parse_params(n: int, text: str | None) -> TitsSection:
     return TitsSection(n, tuple(parse_scalar(p) for p in parts))
 
 
-def _merge_reports(reports: list[RelationReport]) -> dict:
-    # each report is sorted, and every algebra tag ("0.x") sorts before
-    # every group tag ("2.x"), so adjoint-then-group keeps the order
-    n = reports[0].n
-    rels = []
-    for rep in reports:
-        rels.extend(report_to_json(rep)["relations"])
-    return {
-        "n": n,
-        "relations": rels,
-        "all_pass": all(rep.all_pass for rep in reports),
-    }
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.n < 1:
         print(f"error: rank must be at least 1, got {args.n}",
@@ -68,14 +54,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: bad --params: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    reports = []
+    checks = ()
     if args.level in ("adjoint", "all"):
-        reports.append(verify_theorem1(args.n))
+        checks += verify_theorem1(args.n).relations
     if args.level in ("group", "all"):
-        reports.append(verify_group_relations(section))
-    payload = _merge_reports(reports)
+        checks += verify_group_relations(section).relations
+    report = RelationReport(args.n, checks)
 
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(report_to_json(report), indent=2)
     if args.json:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
@@ -85,7 +71,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return USAGE_ERROR
     else:
         print(text)
-    return 0 if payload["all_pass"] else RELATION_ERROR
+    return 0 if report.all_pass else RELATION_ERROR
 
 
 def cmd_eval_word(args: argparse.Namespace) -> int:
@@ -96,15 +82,14 @@ def cmd_eval_word(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    g = evaluate_word(section, word)
-    dec = normalizer_decompose(g)
+    value = monomial_word(section, word)
     proj = natural_projection(word)
     payload = {
         "n": args.n,
         "word": args.word.strip(),
-        "matrix": matrix_to_json(g.m),
-        "permutation": list(dec.sigma.images),
-        "scales": [scalar_to_str(x) for x in dec.scales],
+        "matrix": matrix_to_json(value.reconstruct().m),
+        "permutation": list(value.sigma.images),
+        "scales": [scalar_to_str(x) for x in value.scales],
         "projection": list(proj.images),
         "pure": proj.is_identity(),
     }
@@ -117,7 +102,7 @@ def cmd_normalizer_check(args: argparse.Namespace) -> int:
         with open(args.matrix, encoding="utf-8") as fh:
             obj = json.load(fh)
         m = matrix_from_json(obj)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read matrix: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:

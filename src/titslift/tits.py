@@ -116,11 +116,10 @@ def exp_construction(n: int, i: int) -> GroupElement:
     return GroupElement(exp_nilpotent(e) * exp_nilpotent(-f) * exp_nilpotent(e))
 
 
-def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
+def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
     """Evaluate a braid word as a product of section lifts.
 
-    The product is taken in (permutation, scales) form; the dense matrix
-    and its determinant check come once, at the end.
+    The product is taken in (permutation, scales) form, at O(n) per letter.
     """
     if s.n != w.n:
         raise ValueError(f"rank mismatch: section {s.n} vs word {w.n}")
@@ -128,7 +127,12 @@ def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
     out = MonomialDecomposition(Permutation.identity(dim), (1,) * dim)
     for i, e in w.letters:
         out = out * monomial_lift(s, i, e)
-    return out.reconstruct()
+    return out
+
+
+def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
+    """monomial_word as a dense matrix, with its one determinant check."""
+    return monomial_word(s, w).reconstruct()
 
 
 @dataclass(frozen=True)

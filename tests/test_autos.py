@@ -16,7 +16,8 @@ from titslift.braid import BraidWord, relation_instances
 from titslift.liealg import (LieElement, ad_matrix, basis_indices, bracket,
                              decompose_by_cartan, dimension, generator)
 from titslift.linalg import Matrix, exp_nilpotent
-from titslift.tits import TitsSection, evaluate_word, sigma_generator
+from titslift.tits import (MonomialDecomposition, TitsSection, evaluate_word,
+                           sigma_generator)
 
 # algebra-level tag -> group-level tag of the same relation family
 PAIR_TAGS = {"0.2": "2.9", "0.4": "2.10", "0.5": "2.11", "0.6": "2.12"}
@@ -229,8 +230,36 @@ def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
         assert failed and {t for t, _, _ in failed} == {tag}
         assert not report_to_json(adjoint)["all_pass"]
         assert not report_to_json(group)["all_pass"]
-        for r in adjoint.failures() + group.failures():
-            assert r.left != r.right
+        # failing checks keep each level's own values of the two sides
+        for r in group.failures():
+            assert isinstance(r.left, MonomialDecomposition)
+            assert isinstance(r.right, MonomialDecomposition)
+            assert r.left.reconstruct().m != r.right.reconstruct().m
+        for r in adjoint.failures():
+            assert isinstance(r.left, AlgebraAutomorphism)
+            assert r.left.op != r.right.op
+
+
+@pytest.mark.parametrize("mutate", [lambda inst: inst, _square_is_trivial,
+                                    _flip_last_exponent])
+def test_group_verdicts_match_the_dense_word_values(monkeypatch, mutate):
+    # the pair comparison of the sweep against the dense matrices
+    import titslift.autos as autos
+    rng = random.Random(83)
+    for n in range(1, 5):
+        table = [mutate(inst) for inst in relation_instances(n)]
+        monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+        for _ in range(3):
+            s = TitsSection(n, tuple(
+                Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                         rng.randint(1, 5)) for _ in range(n)))
+            verdicts = {(r.tag, r.i, r.j): r.passed
+                        for r in verify_group_relations(s).relations}
+            assert verdicts == {
+                (inst.tag, inst.i, inst.j):
+                    evaluate_word(s, inst.left).m
+                    == evaluate_word(s, inst.right).m
+                for inst in table}
 
 
 def test_algebra_level_cannot_see_the_centre_at_rank_one(monkeypatch):

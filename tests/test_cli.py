@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
 
@@ -244,6 +246,62 @@ def test_normalizer_check_rejects_boolean_entry(tmp_path, capsys):
     code, out, err = run(capsys, ["normalizer-check", "--matrix", path])
     _assert_input_error(code, err)
     assert out == ""
+
+
+def test_normalizer_check_deeply_nested_json_is_an_input_error(tmp_path,
+                                                               capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, ["normalizer-check", "--matrix", str(path)])
+    _assert_input_error(code, err)
+    assert err.startswith("error: cannot read matrix: ")
+    assert out == ""
+
+
+def _assert_exit(code, err, allowed):
+    assert code in allowed
+    if code == 2:
+        _assert_input_error(code, err)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+SCALAR_JUNK = (st.integers(-3, 3) | st.sampled_from(["1/2", "-2", "1/0", "x"])
+               | JSON_VALUES)
+MATRIX_JSON = st.fixed_dictionaries({
+    "dim": st.integers(-1, 3) | JSON_VALUES,
+    "entries": st.lists(st.lists(SCALAR_JUNK, max_size=3), max_size=3)
+    | JSON_VALUES})
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(JSON_VALUES | MATRIX_JSON)
+def test_fuzz_normalizer_check_exit_codes(tmp_path, capsys, obj):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, ["normalizer-check", "--matrix", str(path)])
+    _assert_exit(code, err, {0, 1, 2})
+
+
+@FUZZ
+@given(st.text() | st.from_regex(r"-?\d{1,2}(/-?\d{1,2})?(,-?\d{1,2})*",
+                                  fullmatch=True))
+def test_fuzz_verify_params_exit_codes(capsys, text):
+    code, _, err = run(capsys, ["verify", "--n", "2", f"--params={text}"])
+    _assert_exit(code, err, {0, 2})
+
+
+@FUZZ
+@given(st.text() | st.lists(st.integers(-3, 3)).map(
+    lambda xs: " ".join(map(str, xs))))
+def test_fuzz_eval_word_exit_codes(capsys, text):
+    code, _, err = run(capsys, ["eval-word", "--n", "2", f"--word={text}"])
+    _assert_exit(code, err, {0, 2})
 
 
 def test_verify_unwritable_report_path(tmp_path, capsys):
