@@ -4,51 +4,61 @@ mechanical verification of the relations both families satisfy.
 
 Everything is computed over the rationals with no floating point, so every
 verified identity is a proof-grade equality, not an approximation.
+
+Importing the package loads no submodule.  Each public name, and each
+submodule, is imported on first access (PEP 562), so a CLI call compiles
+only the modules its subcommand runs.
 """
 
-from .autos import (AlgebraAutomorphism, RelationCheck, RelationReport,
-                    conjugation_automorphism, report_from_json,
-                    report_to_json, tau_generator, verify_group_relations,
-                    verify_theorem1)
-from .braid import (BraidWord, CoxeterMatrix, RelationInstance, concat_reduce,
-                    is_pure, natural_projection, parse_word,
-                    relation_instances, word_to_text)
-from .liealg import (Cartan, LieElement, OffDiagonal, ad_matrix,
-                     basis_indices, basis_matrix, bracket,
-                     decompose_by_cartan, dimension, generator,
-                     lie_element_from_json, lie_element_to_json)
-from .linalg import (Matrix, NotNilpotentError, SingularMatrixError,
-                     canonical, exp_nilpotent, matrix_from_json,
-                     matrix_to_json, scalar_to_str)
-from .roots import (Permutation, RootVector, all_permutations, all_roots,
-                    pairing, reflect, root, simple_root, transposition_word,
-                    weyl_action)
-from .tits import (GroupElement, MonomialDecomposition, NoExactWitness,
-                   NotInNormalizer, TitsSection, conjugation_witness,
-                   coset_class, coset_representative, evaluate_word,
-                   exp_construction, is_monomial, normalizer_decompose,
-                   rational_nth_root, section_from_json, section_to_json,
-                   sigma_generator, torus_generation_witness)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraAutomorphism", "BraidWord", "Cartan", "CoxeterMatrix",
-    "GroupElement", "LieElement", "Matrix", "MonomialDecomposition",
-    "NoExactWitness", "NotInNormalizer", "NotNilpotentError", "OffDiagonal",
-    "Permutation", "RelationCheck", "RelationInstance", "RelationReport",
-    "RootVector", "SingularMatrixError", "TitsSection", "ad_matrix",
-    "all_permutations", "all_roots", "basis_indices", "basis_matrix",
-    "bracket", "canonical", "concat_reduce", "conjugation_automorphism",
-    "conjugation_witness", "coset_class", "coset_representative",
-    "decompose_by_cartan", "dimension", "evaluate_word", "exp_construction",
-    "exp_nilpotent", "generator", "is_monomial", "is_pure",
-    "lie_element_from_json", "lie_element_to_json", "matrix_from_json",
-    "matrix_to_json", "natural_projection", "normalizer_decompose",
-    "pairing", "parse_word", "rational_nth_root", "reflect",
-    "relation_instances", "report_from_json", "report_to_json", "root",
-    "scalar_to_str", "section_from_json", "section_to_json",
-    "sigma_generator", "simple_root", "tau_generator",
-    "torus_generation_witness", "transposition_word", "verify_group_relations",
-    "verify_theorem1", "weyl_action", "word_to_text",
-]
+_EXPORTS = {
+    "autos": (
+        "AlgebraAutomorphism", "RelationCheck", "RelationReport",
+        "conjugation_automorphism", "report_from_json", "report_to_json",
+        "tau_generator", "verify_group_relations", "verify_theorem1"),
+    "braid": (
+        "BraidWord", "CoxeterMatrix", "RelationInstance", "concat_reduce",
+        "is_pure", "natural_projection", "parse_word", "relation_instances",
+        "word_to_text"),
+    "liealg": (
+        "Cartan", "LieElement", "OffDiagonal", "ad_matrix", "basis_indices",
+        "basis_matrix", "bracket", "decompose_by_cartan", "dimension",
+        "generator", "lie_element_from_json", "lie_element_to_json"),
+    "linalg": (
+        "Matrix", "NotNilpotentError", "SingularMatrixError", "canonical",
+        "exp_nilpotent", "matrix_from_json", "matrix_to_json",
+        "scalar_to_str"),
+    "roots": (
+        "Permutation", "RootVector", "all_permutations", "all_roots",
+        "pairing", "reflect", "root", "simple_root", "transposition_word",
+        "weyl_action"),
+    "tits": (
+        "GroupElement", "MonomialDecomposition", "NoExactWitness",
+        "NotInNormalizer", "TitsSection", "conjugation_witness",
+        "coset_class", "coset_representative", "evaluate_word",
+        "exp_construction", "is_monomial", "normalizer_decompose",
+        "rational_nth_root", "section_from_json", "section_to_json",
+        "sigma_generator", "torus_generation_witness"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "records"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,7 +14,6 @@ algebra-level relation checks talk to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,6 +21,7 @@ from .braid import relation_instances
 from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
                      basis_matrix, dimension, slot)
 from .linalg import Matrix, Scalar, canonical
+from .records import frozen
 from .tits import GroupElement, TitsSection, monomial_lift, monomial_word
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
@@ -36,7 +36,7 @@ def _combine(cols: tuple[Column, ...], vec: Column) -> Column:
     return {s: canonical(v) for s, v in out.items() if v != 0}
 
 
-@dataclass(frozen=True)
+@frozen
 class AlgebraAutomorphism:
     """An invertible linear map on the algebra, in basis coordinates.
 
@@ -148,7 +148,7 @@ def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
     return AlgebraAutomorphism(n, Matrix(tuple(zip(*cols))))
 
 
-@dataclass(frozen=True)
+@frozen(hidden=("left", "right"))
 class RelationCheck:
     """Outcome of one relation instance: tag, indices, verdict.
 
@@ -161,11 +161,11 @@ class RelationCheck:
     i: int
     j: int
     passed: bool
-    left: object = field(default=None, compare=False, repr=False)
-    right: object = field(default=None, compare=False, repr=False)
+    left: object = None
+    right: object = None
 
 
-@dataclass(frozen=True)
+@frozen
 class RelationReport:
     """All relation checks for one rank, sorted by (tag, i, j)."""
 

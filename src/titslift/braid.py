@@ -9,14 +9,13 @@ reduction, the cancellation of adjacent S_i S_i^{-1} pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .records import frozen
 from .roots import Permutation, simple_root, pairing
 
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
 
 
-@dataclass(frozen=True)
+@frozen
 class BraidWord:
     """A word over S_1..S_n, stored literally (not freely reduced)."""
 
@@ -122,7 +121,7 @@ def is_pure(w: BraidWord) -> bool:
     return natural_projection(w).is_identity()
 
 
-@dataclass(frozen=True)
+@frozen
 class CoxeterMatrix:
     """Pair orders for type A_n: m(i,i) = 1, adjacent 3, distant 2."""
 
@@ -137,7 +136,7 @@ class CoxeterMatrix:
         return 3 if abs(i - j) == 1 else 2
 
 
-@dataclass(frozen=True)
+@frozen
 class RelationInstance:
     """One relation template: assert left and right evaluate equally."""
 

@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-from .autos import (RelationReport, report_to_json, verify_group_relations,
-                    verify_theorem1)
 from .braid import natural_projection, parse_word
 from .linalg import (matrix_from_json, matrix_to_json, parse_scalar,
                      scalar_to_str)
@@ -26,6 +24,8 @@ from .tits import (GroupElement, NotInNormalizer, TitsSection, monomial_word,
 
 USAGE_ERROR = 2
 RELATION_ERROR = 1
+MAX_RANK = 8
+MAX_RANK_HELP = f"refuse ranks above this (default {MAX_RANK})"
 PARAMS_HELP = ("section parameters, integers or p/q, default all 1; "
                "attach a negative first one with =, as in --params=-2,3")
 
@@ -39,14 +39,24 @@ def _parse_params(n: int, text: str | None) -> TitsSection:
     return TitsSection(n, tuple(parse_scalar(p) for p in parts))
 
 
+def _over_cap(args: argparse.Namespace) -> bool:
+    if args.n <= args.max_rank:
+        return False
+    print(f"error: rank {args.n} exceeds cap {args.max_rank}; "
+          "raise it with --max-rank", file=sys.stderr)
+    return True
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the algebra layer is loaded here, so the other subcommands skip it
+    from .autos import (RelationReport, report_to_json,
+                        verify_group_relations, verify_theorem1)
+
     if args.n < 1:
         print(f"error: rank must be at least 1, got {args.n}",
               file=sys.stderr)
         return USAGE_ERROR
-    if args.n > args.max_rank:
-        print(f"error: rank {args.n} exceeds cap {args.max_rank}; "
-              "raise it with --max-rank", file=sys.stderr)
+    if _over_cap(args):
         return USAGE_ERROR
     try:
         section = _parse_params(args.n, args.params)
@@ -75,6 +85,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_word(args: argparse.Namespace) -> int:
+    if _over_cap(args):
+        return USAGE_ERROR
     try:
         section = _parse_params(args.n, args.params)
         word = parse_word(args.n, args.word)
@@ -142,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help=PARAMS_HELP)
     p_verify.add_argument("--json", default=None, metavar="PATH",
                           help="write the report here instead of stdout")
-    p_verify.add_argument("--max-rank", type=int, default=8,
-                          help="refuse ranks above this (default 8)")
+    p_verify.add_argument("--max-rank", type=int, default=MAX_RANK,
+                          help=MAX_RANK_HELP)
     p_verify.set_defaults(func=cmd_verify)
 
     p_eval = sub.add_parser(
@@ -153,6 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="signed generator indices")
     p_eval.add_argument("--params", default=None, metavar="a1,a2,...",
                         help=PARAMS_HELP)
+    p_eval.add_argument("--max-rank", type=int, default=MAX_RANK,
+                        help=MAX_RANK_HELP)
     p_eval.set_defaults(func=cmd_eval_word)
 
     p_norm = sub.add_parser(

@@ -13,21 +13,21 @@ LieElement.to_matrix / from_matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 from .linalg import Matrix, Scalar, canonical, parse_scalar, scalar_to_str
+from .records import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class OffDiagonal:
     """Basis slot for the matrix unit E_{row,col}, row != col, 1-based."""
     row: int
     col: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Cartan:
     """Basis slot for the simple coroot h_index, 1 <= index <= n."""
     index: int
@@ -79,7 +79,7 @@ def slot(n: int, idx: BasisIndex) -> int:
     return _slot_of(n)[idx]
 
 
-@dataclass(frozen=True)
+@frozen
 class LieElement:
     """A traceless matrix, stored as coordinates over the fixed basis."""
 

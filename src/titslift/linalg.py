@@ -271,6 +271,8 @@ def matrix_from_json(obj: dict) -> Matrix:
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise ValueError("matrix JSON needs 'dim' and 'entries'") from exc
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"matrix JSON dim must be an integer, got {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim or any(
             not isinstance(row, list) or len(row) != dim for row in entries):
         raise ValueError("matrix JSON entries do not match dim")

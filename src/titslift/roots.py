@@ -10,11 +10,12 @@ notation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
+from .records import frozen
 
-@dataclass(frozen=True)
+
+@frozen
 class Permutation:
     """A bijection of {1, .., n_points}; images[k-1] = sigma(k)."""
 
@@ -75,7 +76,7 @@ def all_permutations(n_points: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-@dataclass(frozen=True)
+@frozen
 class RootVector:
     """An integer vector over eps_1..eps_{n+1} with entries summing to 0."""
 

@@ -17,13 +17,13 @@ operation reports that explicitly instead of approximating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .braid import BraidWord
 from .linalg import (Matrix, Scalar, canonical, exp_nilpotent, parse_scalar,
                      scalar_to_str)
+from .records import frozen
 from .roots import Permutation
 
 
@@ -35,7 +35,7 @@ class NoExactWitness(ValueError):
     """The conjugating torus element would need an irrational root."""
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupElement:
     """A square rational matrix with determinant exactly one."""
 
@@ -64,7 +64,7 @@ class GroupElement:
         return GroupElement(self.m * other.m * self.m.inv())
 
 
-@dataclass(frozen=True)
+@frozen
 class TitsSection:
     """Nonzero parameters a_1..a_n choosing one lift per braid generator."""
 
@@ -120,13 +120,16 @@ def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
     """Evaluate a braid word as a product of section lifts.
 
     The product is taken in (permutation, scales) form, at O(n) per letter.
+    Each distinct letter's lift is looked up once per word, so the section
+    is hashed per distinct letter, not per letter.
     """
     if s.n != w.n:
         raise ValueError(f"rank mismatch: section {s.n} vs word {w.n}")
+    lifts = {letter: monomial_lift(s, *letter) for letter in set(w.letters)}
     dim = s.n + 1
     out = MonomialDecomposition(Permutation.identity(dim), (1,) * dim)
-    for i, e in w.letters:
-        out = out * monomial_lift(s, i, e)
+    for letter in w.letters:
+        out = out * lifts[letter]
     return out
 
 
@@ -135,7 +138,7 @@ def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
     return monomial_word(s, w).reconstruct()
 
 
-@dataclass(frozen=True)
+@frozen
 class MonomialDecomposition:
     """A monomial matrix as (permutation, column scales).
 
@@ -157,10 +160,14 @@ class MonomialDecomposition:
             raise ValueError("monomial scales must be nonzero")
 
     def __mul__(self, other: MonomialDecomposition) -> MonomialDecomposition:
-        """The decomposition of the matrix product self * other."""
+        """The decomposition of the matrix product self * other.
+
+        A scale of 1 in other, as in all but two columns of a lift, leaves
+        the entry it meets unchanged, so that product is skipped.
+        """
+        met = (self.scales[j - 1] for j in other.sigma.images)
         return MonomialDecomposition(self.sigma * other.sigma, tuple(
-            self.scales[other.sigma(k) - 1] * t
-            for k, t in enumerate(other.scales, start=1)))
+            x if t == 1 else x * t for x, t in zip(met, other.scales)))
 
     def inverse(self) -> MonomialDecomposition:
         """The decomposition of the inverse matrix.

@@ -2,7 +2,6 @@
 the algebra, the relations they satisfy, and the report plumbing."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from titslift.autos import (AlgebraAutomorphism, RelationCheck,
                             conjugation_automorphism, report_from_json,
                             report_to_json, tau_generator,
                             verify_group_relations, verify_theorem1)
-from titslift.braid import BraidWord, relation_instances
+from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.liealg import (LieElement, ad_matrix, basis_indices, bracket,
                              decompose_by_cartan, dimension, generator)
 from titslift.linalg import Matrix, exp_nilpotent
@@ -204,7 +203,9 @@ def _square_is_trivial(inst):
     # S_i^2 = 1 in place of S_i^4 = 1
     if inst.tag != "2.11":
         return inst
-    return replace(inst, left=BraidWord.from_ints(inst.left.n, [inst.i] * 2))
+    return RelationInstance(inst.tag, inst.i, inst.j,
+                            BraidWord.from_ints(inst.left.n, [inst.i] * 2),
+                            inst.right)
 
 
 def _flip_last_exponent(inst):
@@ -212,7 +213,8 @@ def _flip_last_exponent(inst):
     if inst.tag != "2.12":
         return inst
     letters = inst.left.letters[:-1] + ((inst.i, 1),)
-    return replace(inst, left=BraidWord(inst.left.n, letters))
+    return RelationInstance(inst.tag, inst.i, inst.j,
+                            BraidWord(inst.left.n, letters), inst.right)
 
 
 @pytest.mark.parametrize("mutate,tag", [(_square_is_trivial, "2.11"),

@@ -248,6 +248,27 @@ def test_normalizer_check_rejects_boolean_entry(tmp_path, capsys):
     assert out == ""
 
 
+def test_normalizer_check_rejects_boolean_dim(tmp_path, capsys):
+    # True == 1, so a boolean dim used to pass the size check
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": True, "entries": [[1]]}))
+    code, out, err = run(capsys, ["normalizer-check", "--matrix", str(path)])
+    _assert_input_error(code, err)
+    assert "dim" in err
+    assert out == ""
+
+
+def test_eval_word_respects_rank_cap(capsys):
+    code, out, err = run(capsys, ["eval-word", "--n", "30", "--word", "1 30"])
+    _assert_input_error(code, err)
+    assert err == "error: rank 30 exceeds cap 8; raise it with --max-rank\n"
+    assert out == ""
+    code, out, _ = run(capsys, ["eval-word", "--n", "30", "--word", "1 30",
+                                "--max-rank", "30"])
+    assert code == 0
+    assert json.loads(out)["matrix"]["dim"] == 31
+
+
 def test_normalizer_check_deeply_nested_json_is_an_input_error(tmp_path,
                                                                capsys):
     path = tmp_path / "deep.json"

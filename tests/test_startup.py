@@ -1,0 +1,105 @@
+"""What a fresh process loads, and the lazy package namespace.
+
+Every CLI call is a new interpreter, so the modules a subcommand imports
+are paid for on every call.  These tests pin which modules each entry
+point loads, without timing anything.
+"""
+
+import ast
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import titslift
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# runs argv through cli.main (or only imports the package when argv is
+# None) and reports the exit code and the modules the run added
+PROBE = """
+import sys
+argv = {argv!r}
+before = set(sys.modules)
+if argv is None:
+    import titslift
+    code = None
+else:
+    from titslift.cli import main
+    code = main(argv)
+sys.stderr.write("\\n" + repr((code, sorted(set(sys.modules) - before))))
+"""
+
+
+def _loaded(tmp_path, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(argv=argv)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = ast.literal_eval(proc.stderr.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_import_loads_no_submodule(tmp_path):
+    _, modules = _loaded(tmp_path, None)
+    assert "titslift" in modules
+    assert not {m for m in modules if m.startswith("titslift.")}
+    assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
+    ["normalizer-check", "--matrix", "m.json"],
+], ids=["eval-word", "normalizer-check"])
+def test_light_subcommands_skip_the_algebra_layer(tmp_path, argv):
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
+    code, modules = _loaded(tmp_path, argv)
+    assert code == 0
+    assert "titslift.tits" in modules
+    assert not modules & {"titslift.autos", "titslift.liealg", "dataclasses"}
+
+
+def test_verify_loads_the_algebra_layer(tmp_path):
+    code, modules = _loaded(tmp_path, ["verify", "--n", "2"])
+    assert code == 0
+    assert {"titslift.autos", "titslift.liealg"} <= modules
+    assert "dataclasses" not in modules
+
+
+def test_public_names_resolve_to_their_home_modules():
+    assert titslift.__all__ == sorted(titslift.__all__)
+    for name in titslift.__all__:
+        home = f"titslift.{titslift._HOME[name]}"
+        obj = getattr(titslift, name)
+        assert obj is getattr(importlib.import_module(home), name)
+        # the table names the module that defines the object
+        assert getattr(obj, "__module__", home) == home, name
+
+
+def test_star_import_and_dir_cover_all():
+    namespace = {}
+    exec("from titslift import *", namespace)
+    assert set(titslift.__all__) <= set(namespace)
+    assert set(titslift.__all__) <= set(dir(titslift))
+
+
+def test_submodules_resolve_as_attributes():
+    for name in ("autos", "braid", "cli", "liealg", "linalg", "records",
+                 "roots", "tits"):
+        assert getattr(titslift, name) is importlib.import_module(
+            f"titslift.{name}")
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        titslift.no_such_name
+    with pytest.raises(ImportError):
+        exec("from titslift import no_such_name", {})
