@@ -20,28 +20,26 @@ _EXPORTS = {
         "conjugation_automorphism", "report_from_json", "report_to_json",
         "tau_generator", "verify_group_relations", "verify_theorem1"),
     "braid": (
-        "BraidWord", "CoxeterMatrix", "RelationInstance", "concat_reduce",
-        "is_pure", "natural_projection", "parse_word", "relation_instances",
+        "BraidWord", "CoxeterMatrix", "RelationInstance", "is_pure",
+        "natural_projection", "parse_word", "relation_instances",
         "word_to_text"),
     "liealg": (
         "Cartan", "LieElement", "OffDiagonal", "ad_matrix", "basis_indices",
         "basis_matrix", "bracket", "decompose_by_cartan", "dimension",
-        "generator", "lie_element_from_json", "lie_element_to_json"),
+        "generator"),
     "linalg": (
         "Matrix", "NotNilpotentError", "SingularMatrixError", "canonical",
         "exp_nilpotent", "matrix_from_json", "matrix_to_json",
         "scalar_to_str"),
     "roots": (
-        "Permutation", "RootVector", "all_permutations", "all_roots",
-        "pairing", "reflect", "root", "simple_root", "transposition_word",
-        "weyl_action"),
+        "Permutation", "RootVector", "all_roots", "pairing", "reflect",
+        "root", "simple_root", "transposition_word", "weyl_action"),
     "tits": (
         "GroupElement", "MonomialDecomposition", "NoExactWitness",
         "NotInNormalizer", "TitsSection", "conjugation_witness",
-        "coset_class", "coset_representative", "evaluate_word",
-        "exp_construction", "is_monomial", "normalizer_decompose",
-        "rational_nth_root", "section_from_json", "section_to_json",
-        "sigma_generator", "torus_generation_witness"),
+        "coset_class", "evaluate_word", "exp_construction",
+        "normalizer_decompose", "rational_nth_root", "sigma_generator",
+        "torus_generation_witness"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

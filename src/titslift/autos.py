@@ -41,24 +41,19 @@ class AlgebraAutomorphism:
     """An invertible linear map on the algebra, in basis coordinates.
 
     cols[k] is the image of the k-th basis vector as a sparse column: a
-    dict from 0-based row to its nonzero, canonical entry.  A dense
-    Matrix is accepted in its place and converted.  Equality is exact.
+    dict from 0-based row to its nonzero, canonical entry.  Equality is
+    exact.
     """
 
     n: int
     cols: tuple[Column, ...]
 
     def __post_init__(self):
-        cols = self.cols
-        if isinstance(cols, Matrix):
-            cols = tuple({r: row[k] for r, row in enumerate(cols.rows)
-                          if row[k] != 0} for k in range(cols.dim))
-            object.__setattr__(self, "cols", cols)
         d = dimension(self.n)
-        if len(cols) != d:
+        if len(self.cols) != d:
             raise ValueError(
                 f"operator must be {d}x{d} for rank {self.n}, "
-                f"got {len(cols)}x{len(cols)}")
+                f"got {len(self.cols)}x{len(self.cols)}")
 
     @property
     def op(self) -> Matrix:
@@ -79,17 +74,6 @@ class AlgebraAutomorphism:
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
         return AlgebraAutomorphism(
             self.n, tuple(_combine(self.cols, col) for col in other.cols))
-
-    def __pow__(self, k: int) -> AlgebraAutomorphism:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = AlgebraAutomorphism.identity(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def inverse(self) -> AlgebraAutomorphism:
-        return AlgebraAutomorphism(self.n, self.op.inv())
 
     def apply(self, x: LieElement) -> LieElement:
         if x.n != self.n:
@@ -143,9 +127,9 @@ def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
     g_inv = g.m.inv()
     cols = []
     for idx in basis_indices(n):
-        image = g.m * basis_matrix(n, idx) * g_inv
-        cols.append(LieElement.from_matrix(n, image).coords)
-    return AlgebraAutomorphism(n, Matrix(tuple(zip(*cols))))
+        image = LieElement.from_matrix(n, g.m * basis_matrix(n, idx) * g_inv)
+        cols.append({r: x for r, x in enumerate(image.coords) if x != 0})
+    return AlgebraAutomorphism(n, tuple(cols))
 
 
 @frozen(hidden=("left", "right"))

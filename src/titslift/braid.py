@@ -57,13 +57,6 @@ class BraidWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        return concat_reduce(self, other)
-
-    def inverse(self) -> BraidWord:
-        return BraidWord(self.n, tuple((i, -e) for i, e in
-                                       reversed(self.letters)))
-
     def free_reduce(self) -> BraidWord:
         """Cancel adjacent inverse pairs until none remain."""
         stack: list[Letter] = []
@@ -90,18 +83,6 @@ def parse_word(n: int, text: str) -> BraidWord:
 
 def word_to_text(w: BraidWord) -> str:
     return " ".join(str(v) for v in w.to_ints())
-
-
-def concat_reduce(a: BraidWord, b: BraidWord) -> BraidWord:
-    """Concatenate two words and apply free reduction.
-
-    >>> w = BraidWord.from_ints(2, [1, 2])
-    >>> concat_reduce(w, BraidWord.from_ints(2, [-2, 1])).to_ints()
-    (1, 1)
-    """
-    if a.n != b.n:
-        raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    return BraidWord(a.n, a.letters + b.letters).free_reduce()
 
 
 def natural_projection(w: BraidWord) -> Permutation:

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .braid import natural_projection, parse_word
+from .braid import parse_word
 from .linalg import (matrix_from_json, matrix_to_json, parse_scalar,
                      scalar_to_str)
 from .tits import (GroupElement, NotInNormalizer, TitsSection, monomial_word,
@@ -95,16 +95,22 @@ def cmd_eval_word(args: argparse.Namespace) -> int:
         return USAGE_ERROR
 
     value = monomial_word(section, word)
-    proj = natural_projection(word)
-    payload = {
-        "n": args.n,
-        "word": args.word.strip(),
-        "matrix": matrix_to_json(value.reconstruct().m),
-        "permutation": list(value.sigma.images),
-        "scales": [scalar_to_str(x) for x in value.scales],
-        "projection": list(proj.images),
-        "pure": proj.is_identity(),
-    }
+    # the word's permutation is its projection to the symmetric group
+    sigma = value.sigma
+    try:
+        payload = {
+            "n": args.n,
+            "word": args.word.strip(),
+            "matrix": matrix_to_json(value.reconstruct().m),
+            "permutation": list(sigma.images),
+            "scales": [scalar_to_str(x) for x in value.scales],
+            "projection": list(sigma.images),
+            "pure": sigma.is_identity(),
+        }
+    except ValueError as exc:
+        # a scale longer than Python's int-to-str limit (4300 digits)
+        print(f"error: result too large to print: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     print(json.dumps(payload, indent=2))
     return 0
 

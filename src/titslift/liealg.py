@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Union
 
-from .linalg import Matrix, Scalar, canonical, parse_scalar, scalar_to_str
+from .linalg import Matrix, Scalar, canonical
 from .records import frozen
 
 
@@ -136,11 +136,6 @@ class LieElement:
                 rows[idx.index][idx.index] -= c
         return Matrix(rows)
 
-    def cartan_coords(self) -> tuple[Scalar, ...]:
-        """The h_1..h_n coordinate block."""
-        off = self.n * (self.n + 1)
-        return self.coords[off:]
-
     def is_cartan(self) -> bool:
         """True when every off-diagonal coordinate vanishes."""
         off = self.n * (self.n + 1)
@@ -227,15 +222,3 @@ def decompose_by_cartan(n: int, h: LieElement) -> dict[Scalar, list[BasisIndex]]
         buckets.setdefault(value, []).append(idx)
     return buckets
 
-
-def lie_element_to_json(x: LieElement) -> dict:
-    """JSON object form: {"n": n, "coords": ["p/q", ...]}."""
-    return {"n": x.n, "coords": [scalar_to_str(c) for c in x.coords]}
-
-
-def lie_element_from_json(obj: dict) -> LieElement:
-    try:
-        return LieElement(obj["n"],
-                          tuple(parse_scalar(c) for c in obj["coords"]))
-    except (TypeError, KeyError) as exc:
-        raise ValueError("lie element JSON needs 'n' and 'coords'") from exc

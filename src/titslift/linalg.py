@@ -100,10 +100,6 @@ class Matrix:
                          for i in range(dim)))
 
     @classmethod
-    def zero(cls, dim: int) -> Matrix:
-        return cls(((0,) * dim,) * dim)
-
-    @classmethod
     def diagonal(cls, entries: Iterable[Scalar]) -> Matrix:
         entries = tuple(entries)
         return cls(tuple(tuple(entries[i] if i == j else 0
@@ -155,18 +151,6 @@ class Matrix:
                                   for col in cols)
                             for row in self.rows))
 
-    def __pow__(self, k: int) -> Matrix:
-        if k < 0:
-            return self.inv() ** (-k)
-        out = Matrix.identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def scale(self, c: Scalar) -> Matrix:
         return Matrix(tuple(tuple(c * a for a in row) for row in self.rows))
 
@@ -176,9 +160,6 @@ class Matrix:
 
     def trace(self) -> Scalar:
         return canonical(sum(self.rows[i][i] for i in range(self.dim)))
-
-    def transpose(self) -> Matrix:
-        return Matrix(tuple(zip(*self.rows)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)

@@ -10,7 +10,6 @@ notation.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
 
 from .records import frozen
 
@@ -69,11 +68,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return "[" + " ".join(str(k) for k in self.images) + "]"
-
-
-def all_permutations(n_points: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(1, n_points + 1)):
-        yield Permutation(images)
 
 
 @frozen

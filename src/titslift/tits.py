@@ -21,8 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .braid import BraidWord
-from .linalg import (Matrix, Scalar, canonical, exp_nilpotent, parse_scalar,
-                     scalar_to_str)
+from .linalg import Matrix, Scalar, canonical, exp_nilpotent
 from .records import frozen
 from .roots import Permutation
 
@@ -84,17 +83,6 @@ class TitsSection:
     @classmethod
     def ones(cls, n: int) -> TitsSection:
         return cls(n, (1,) * n)
-
-
-def section_to_json(s: TitsSection) -> dict:
-    return {"n": s.n, "a": [scalar_to_str(a) for a in s.params]}
-
-
-def section_from_json(obj: dict) -> TitsSection:
-    try:
-        return TitsSection(obj["n"], tuple(parse_scalar(a) for a in obj["a"]))
-    except (TypeError, KeyError) as exc:
-        raise ValueError("section JSON needs 'n' and 'a'") from exc
 
 
 @lru_cache(maxsize=None)
@@ -230,29 +218,11 @@ def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:
     return MonomialDecomposition(Permutation(tuple(images)), tuple(scales))
 
 
-def is_monomial(x: GroupElement) -> bool:
-    try:
-        normalizer_decompose(x)
-        return True
-    except NotInNormalizer:
-        return False
-
-
-def coset_representative(sigma: Permutation) -> GroupElement:
-    """The signed permutation matrix with determinant one.
-
-    Column 1 carries sign(sigma), every other column carries 1, in rows
-    sigma(1), .., sigma(n+1).
-    """
-    scales = (sigma.sign(),) + (1,) * (sigma.n_points - 1)
-    return MonomialDecomposition(sigma, scales).reconstruct()
-
-
 def coset_class(x: GroupElement) -> Permutation:
     """The torus coset of a monomial matrix, as a permutation.
 
-    Dividing by the coset representative lands in the torus: the product
-    x * coset_representative(result)^{-1} is diagonal.
+    Dividing x by any monomial matrix with the same permutation lands in
+    the torus.
     """
     return normalizer_decompose(x).sigma
 

@@ -4,7 +4,7 @@ group, and the generated table of relation instances."""
 import pytest
 from hypothesis import given, strategies as st
 
-from titslift.braid import (BraidWord, CoxeterMatrix, concat_reduce, is_pure,
+from titslift.braid import (BraidWord, CoxeterMatrix, is_pure,
                             natural_projection, parse_word,
                             relation_instances, word_to_text)
 from titslift.roots import Permutation
@@ -40,24 +40,18 @@ def test_free_reduction_cancels_adjacent_inverses():
     assert inner.free_reduce() == BraidWord.empty(2)
 
 
-def test_concat_reduce_cancels_at_the_seam():
-    a = parse_word(2, "1 2")
-    b = parse_word(2, "-2 -1 1")
-    assert concat_reduce(a, b) == parse_word(2, "1")
-    assert a * b == parse_word(2, "1")
-
-
 @given(letters(3))
 def test_word_times_inverse_reduces_to_empty(ls):
-    w = BraidWord(3, tuple(ls)).free_reduce()
-    assert (w * w.inverse()) == BraidWord.empty(3)
+    inverse = tuple((i, -e) for i, e in reversed(ls))
+    assert BraidWord(3, tuple(ls) + inverse).free_reduce() == \
+        BraidWord.empty(3)
 
 
 @given(letters(3), letters(3))
 def test_projection_is_a_homomorphism(ls_a, ls_b):
     a = BraidWord(3, tuple(ls_a))
     b = BraidWord(3, tuple(ls_b))
-    assert natural_projection(a * b) == (
+    assert natural_projection(BraidWord(3, a.letters + b.letters)) == (
         natural_projection(a) * natural_projection(b))
 
 
@@ -77,11 +71,6 @@ def test_is_pure():
     assert is_pure(parse_word(2, "1 1"))
     assert not is_pure(parse_word(2, "1"))
     assert not is_pure(parse_word(2, "1 2"))
-
-
-def test_inverse_reverses_and_flips():
-    w = parse_word(3, "1 -2 3")
-    assert w.inverse() == parse_word(3, "-3 2 -1")
 
 
 def test_coxeter_matrix():

@@ -269,6 +269,17 @@ def test_eval_word_respects_rank_cap(capsys):
     assert json.loads(out)["matrix"]["dim"] == 31
 
 
+def test_eval_word_result_too_large_to_print_is_an_input_error(capsys):
+    # each parameter is within the int-to-str limit, but a scale of the
+    # value, a product of two of them, is not
+    big = "7" * 3000
+    code, out, err = run(capsys, ["eval-word", "--n", "2", "--word",
+                                  "1 2 1 2", f"--params={big},{big}"])
+    _assert_input_error(code, err)
+    assert err.startswith("error: result too large to print: ")
+    assert out == ""
+
+
 def test_normalizer_check_deeply_nested_json_is_an_input_error(tmp_path,
                                                                capsys):
     path = tmp_path / "deep.json"

@@ -9,8 +9,7 @@ import pytest
 
 from titslift.liealg import (Cartan, LieElement, OffDiagonal, ad_matrix,
                              basis_indices, basis_matrix, bracket,
-                             decompose_by_cartan, dimension, generator,
-                             lie_element_from_json, lie_element_to_json)
+                             decompose_by_cartan, dimension, generator)
 from titslift.linalg import Matrix
 
 
@@ -66,11 +65,12 @@ def test_from_matrix_rejects_wrong_dim():
         LieElement.from_matrix(1, Matrix.identity(3))
 
 
-def test_cartan_coords():
+def test_cartan_coordinates_are_cumulative_sums():
     h = LieElement.from_matrix(
         2, Matrix.diagonal([3, -1, -2]))
-    # cumulative sums of the diagonal: 3, 3 + (-1)
-    assert h.cartan_coords() == (3, 2)
+    # cumulative sums of the diagonal: 3, 3 + (-1), after the 6
+    # off-diagonal coordinates
+    assert h.coords[6:] == (3, 2)
     assert h.is_cartan()
     assert not generator(2, "e", 1).is_cartan()
 
@@ -79,7 +79,7 @@ def test_element_arithmetic():
     e = generator(1, "e", 1)
     f = generator(1, "f", 1)
     assert (e + f).to_matrix() == Matrix([[0, 1], [1, 0]])
-    assert (e - e).to_matrix() == Matrix.zero(2)
+    assert (e - e).to_matrix() == Matrix([[0, 0], [0, 0]])
     assert (-e).to_matrix() == Matrix([[0, -1], [0, 0]])
     assert (Fraction(1, 3) * e).to_matrix() == Matrix(
         [[0, Fraction(1, 3)], [0, 0]])
@@ -142,14 +142,3 @@ def test_decompose_by_cartan_requires_diagonal():
     with pytest.raises(ValueError):
         decompose_by_cartan(1, generator(1, "e", 1))
 
-
-def test_json_round_trip():
-    x = LieElement(1, (Fraction(1, 2), -1, 3))
-    obj = lie_element_to_json(x)
-    assert obj == {"n": 1, "coords": ["1/2", "-1", "3"]}
-    assert lie_element_from_json(obj) == x
-    with pytest.raises(ValueError):
-        lie_element_from_json({"n": 1})
-    for bad in (0.5, True, "1/0"):
-        with pytest.raises(ValueError):
-            lie_element_from_json({"n": 1, "coords": ["1", bad, "0"]})

@@ -9,9 +9,9 @@ import itertools
 
 import pytest
 
-from titslift.roots import (Permutation, RootVector, all_permutations,
-                            all_roots, pairing, reflect, root, simple_root,
-                            transposition_word, weyl_action)
+from titslift.roots import (Permutation, RootVector, all_roots, pairing,
+                            reflect, root, simple_root, transposition_word,
+                            weyl_action)
 
 
 def test_permutation_validation():
@@ -35,10 +35,6 @@ def test_permutation_inverse_and_sign():
     assert c.sign() == 1
     assert Permutation.transposition(4, 2, 4).sign() == -1
     assert Permutation.identity(5).sign() == 1
-
-
-def test_all_permutations_counts():
-    assert sum(1 for _ in all_permutations(4)) == 24
 
 
 def test_roots_inventory():
@@ -96,7 +92,7 @@ def test_reflection_negates_its_own_root():
 
 def test_weyl_action_is_a_group_action():
     n = 3
-    perms = list(all_permutations(n + 1))
+    perms = [Permutation(p) for p in itertools.permutations(range(1, n + 2))]
     roots = all_roots(n)
     for s, t in itertools.islice(itertools.product(perms, perms), 200):
         for beta in roots[:3]:

@@ -6,16 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from titslift.braid import parse_word
+from titslift.braid import natural_projection, parse_word
 from titslift.linalg import Matrix
 from titslift.roots import Permutation
 from titslift.tits import (GroupElement, MonomialDecomposition,
                            NoExactWitness, NotInNormalizer, TitsSection,
-                           conjugation_witness, coset_class,
-                           coset_representative, evaluate_word,
-                           exp_construction, is_monomial, monomial_lift,
+                           conjugation_witness, coset_class, evaluate_word,
+                           exp_construction, monomial_lift, monomial_word,
                            normalizer_decompose, rational_nth_root,
-                           section_from_json, section_to_json,
                            sigma_generator, torus_generation_witness)
 
 
@@ -70,18 +68,6 @@ def test_section_validation():
     with pytest.raises(ValueError):
         TitsSection(0, ())
     assert TitsSection.ones(3).params == (1, 1, 1)
-
-
-def test_section_json_round_trip():
-    s = TitsSection(2, (Fraction(2, 3), -1))
-    obj = section_to_json(s)
-    assert obj == {"n": 2, "a": ["2/3", "-1"]}
-    assert section_from_json(obj) == s
-    with pytest.raises(ValueError):
-        section_from_json({"n": 2})
-    for bad in (0.5, True, "1/0"):
-        with pytest.raises(ValueError):
-            section_from_json({"n": 2, "a": ["1", bad]})
 
 
 def test_sigma_block_shape():
@@ -177,6 +163,18 @@ def test_monomial_lift_times_its_inverse_is_the_identity():
         monomial_lift(TitsSection.ones(2), 3, 1)
 
 
+def test_word_permutation_is_the_natural_projection():
+    # the permutation part of a word's value does not see the section
+    rng = random.Random(47)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        s = random_section(rng, n)
+        w = parse_word(n, " ".join(
+            str(rng.choice([-1, 1]) * rng.randint(1, n))
+            for _ in range(rng.randint(0, 15))))
+        assert natural_projection(w) == monomial_word(s, w).sigma
+
+
 def test_normalizer_decompose_diagonal_and_permutation():
     d = GroupElement(Matrix.diagonal([2, Fraction(1, 2)]))
     dec = normalizer_decompose(d)
@@ -193,8 +191,6 @@ def test_normalizer_rejects_non_monomial():
     g = GroupElement(Matrix([[1, 1], [0, 1]]))
     with pytest.raises(NotInNormalizer):
         normalizer_decompose(g)
-    assert not is_monomial(g)
-    assert is_monomial(GroupElement.identity(2))
 
 
 def test_decompose_reconstruct_round_trip():
@@ -218,23 +214,17 @@ def test_monomial_decomposition_validation():
         MonomialDecomposition(Permutation.identity(2), (1, 0))
 
 
-def test_coset_representative_sign_placement():
-    c = Permutation((2, 3, 1))  # a 3-cycle, even
-    rep = coset_representative(c)
-    assert rep.m == Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-
-    t = Permutation((2, 1))  # odd: first column carries the sign
-    rep = coset_representative(t)
-    assert rep.m == Matrix([[0, 1], [-1, 0]])
-    assert rep.m.det() == 1
-
-
 def test_coset_class_and_quotient_is_torus():
     rng = random.Random(19)
     s = random_section(rng, 3)
     g = evaluate_word(s, parse_word(3, "1 3 2 1"))
     sigma = coset_class(g)
-    quotient = g * coset_representative(sigma).inv()
+    # the signed permutation matrix of sigma: sign(sigma) in column 1
+    dim = sigma.n_points
+    rep = GroupElement(Matrix(
+        [[(sigma.sign() if c == 1 else 1) if sigma(c) == r else 0
+          for c in range(1, dim + 1)] for r in range(1, dim + 1)]))
+    quotient = g * rep.inv()
     assert quotient.m.is_diagonal()
 
 
