@@ -24,7 +24,7 @@ from .tits import (GroupElement, NotInNormalizer, TitsSection, monomial_word,
 
 USAGE_ERROR = 2
 RELATION_ERROR = 1
-MAX_RANK = 8
+MAX_RANK = 32
 MAX_RANK_HELP = f"refuse ranks above this (default {MAX_RANK})"
 PARAMS_HELP = ("section parameters, integers or p/q, default all 1; "
                "attach a negative first one with =, as in --params=-2,3")

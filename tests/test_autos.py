@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from titslift.autos import (AlgebraAutomorphism, RelationCheck,
-                            RelationReport, _tau_power, _word_operator,
-                            conjugation_automorphism, report_from_json,
-                            report_to_json, tau_generator,
+                            RelationReport, _combine, _generator_images,
+                            _tau_power, conjugation_automorphism,
+                            report_from_json, report_to_json, tau_generator,
                             verify_group_relations, verify_theorem1)
 from titslift.braid import BraidWord, RelationInstance, relation_instances
-from titslift.liealg import (LieElement, ad_matrix, basis_indices, bracket,
-                             decompose_by_cartan, dimension, generator)
+from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
+                             basis_indices, bracket, decompose_by_cartan,
+                             dimension, generator, slot)
 from titslift.linalg import Matrix, exp_nilpotent
 from titslift.tits import (MonomialDecomposition, TitsSection, evaluate_word,
                            monomial_word, sigma_generator)
@@ -45,7 +46,6 @@ def test_operator_permutes_root_lines_up_to_sign():
     # each off-diagonal basis matrix maps to plus or minus the one whose
     # indices are swapped by (i, i+1); diagonal elements stay diagonal
     # but may spread across several coroot coordinates
-    from titslift.liealg import OffDiagonal, slot
     from titslift.roots import Permutation
     for n in (1, 2, 3):
         d = dimension(n)
@@ -71,9 +71,9 @@ def test_operator_permutes_root_lines_up_to_sign():
 def test_fourth_power_is_identity():
     for n in (1, 2, 3):
         for i in range(1, n + 1):
-            tau = tau_generator(n, i)
-            assert (tau * tau * tau * tau).op == Matrix.identity(dimension(n))
-            assert _tau_power(n, i, -1) == tau * tau * tau
+            tau = tau_generator(n, i).op
+            assert tau * tau * tau * tau == Matrix.identity(dimension(n))
+            assert _tau_power(n, i, -1).op == tau * tau * tau
 
 
 def test_preserves_brackets():
@@ -99,12 +99,11 @@ def test_stabilizes_diagonal_part():
 
 
 def test_compose_and_identity():
-    a, a_inv = _tau_power(2, 1, 1), _tau_power(2, 1, -1)
-    b, b_inv = _tau_power(2, 2, 1), _tau_power(2, 2, -1)
-    assert (a * a_inv).op == AlgebraAutomorphism.identity(2).op
-    assert ((a * b) * (b_inv * a_inv)).op == Matrix.identity(dimension(2))
-    with pytest.raises(ValueError):
-        a * tau_generator(1, 1)
+    a, a_inv = _tau_power(2, 1, 1).op, _tau_power(2, 1, -1).op
+    b, b_inv = _tau_power(2, 2, 1).op, _tau_power(2, 2, -1).op
+    identity = Matrix.identity(dimension(2))
+    assert a * a_inv == identity
+    assert (a * b) * (b_inv * a_inv) == identity
 
 
 def test_apply_rank_mismatch():
@@ -154,19 +153,27 @@ def test_conjugation_by_diagonal_fixes_cartan_coordinates():
 
 
 def test_group_and_algebra_reports_agree_instance_by_instance():
+    rng = random.Random(91)
     for n in (1, 2, 3):
         adjoint = {(PAIR_TAGS[r.tag], r.i, r.j): r.passed
                    for r in verify_theorem1(n).relations}
         group = {(r.tag, r.i, r.j): r.passed
                  for r in verify_group_relations(TitsSection.ones(n)).relations}
         assert adjoint == group
-        # the operators themselves, not just the verdicts: each side's
-        # sparse word operator is dense conjugation by the evaluated word
+        # the values themselves, not just the verdicts: each side's
+        # generator images are the generator columns of dense conjugation
+        # by the evaluated word.  Every relation word has the value of its
+        # reverse, so random words are added to show that the last letter
+        # acts first.
         s = TitsSection.ones(n)
-        for inst in relation_instances(n):
-            for w in (inst.left, inst.right):
-                conj = conjugation_automorphism(evaluate_word(s, w), n)
-                assert _word_operator(n, w.letters) == conj
+        words = [w for inst in relation_instances(n)
+                 for w in (inst.left, inst.right)]
+        words += [BraidWord(n, tuple((rng.randint(1, n), rng.choice((1, -1)))
+                                     for _ in range(rng.randint(1, 8))))
+                  for _ in range(10)]
+        for w in words:
+            conj = conjugation_automorphism(evaluate_word(s, w), n)
+            assert _generator_images(n, w.letters) == _generator_columns(conj)
 
 
 def test_generator_matches_the_exp_ad_product():
@@ -179,15 +186,24 @@ def test_generator_matches_the_exp_ad_product():
                      * exp_nilpotent(ad_e))
             tau = tau_generator(n, i)
             assert tau.op == dense
-            inverse = _tau_power(n, i, -1)
-            assert tau * inverse == AlgebraAutomorphism.identity(n)
-            assert inverse.op == dense.inv()
+            inverse = _tau_power(n, i, -1).op
+            assert tau.op * inverse == Matrix.identity(dimension(n))
+            assert inverse == dense.inv()
 
 
 def _columns(m):
     """The sparse columns of a dense matrix, zeros dropped."""
     return tuple({r: row[k] for r, row in enumerate(m.rows) if row[k] != 0}
                  for k in range(m.dim))
+
+
+def _generator_columns(op):
+    """The columns of op at e_1..e_n, then at f_1..f_n."""
+    n = op.n
+    return (tuple(op.cols[slot(n, OffDiagonal(k, k + 1))]
+                  for k in range(1, n + 1))
+            + tuple(op.cols[slot(n, OffDiagonal(k + 1, k))]
+                    for k in range(1, n + 1)))
 
 
 def test_sparse_and_dense_forms_agree():
@@ -197,13 +213,12 @@ def test_sparse_and_dense_forms_agree():
     a = Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
     b = Matrix([[rng.choice([0, 0, Fraction(rng.randint(-3, 3), 2)])
                  for _ in range(d)] for _ in range(d)])
-    prod = (AlgebraAutomorphism(n, _columns(a))
-            * AlgebraAutomorphism(n, _columns(b)))
-    assert prod.op == a * b
-    assert prod == AlgebraAutomorphism(n, _columns(a * b))
-    assert all(0 not in col.values() for col in prod.cols)
+    cols = tuple(_combine(_columns(a), col) for col in _columns(b))
+    assert AlgebraAutomorphism(n, cols).op == a * b
+    assert cols == _columns(a * b)
+    assert all(0 not in col.values() for col in cols)
     assert all(type(x) is int or x.denominator != 1
-               for col in prod.cols for x in col.values())
+               for col in cols for x in col.values())
 
 
 def _square_is_trivial(inst):
@@ -245,8 +260,9 @@ def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
             assert isinstance(r.right, MonomialDecomposition)
             assert r.left.reconstruct().m != r.right.reconstruct().m
         for r in adjoint.failures():
-            assert isinstance(r.left, AlgebraAutomorphism)
-            assert r.left.op != r.right.op
+            assert isinstance(r.left, tuple) and isinstance(r.right, tuple)
+            assert len(r.left) == len(r.right) == 2 * n
+            assert r.left != r.right
 
 
 @pytest.mark.parametrize("mutate", [lambda inst: inst, _square_is_trivial,
@@ -271,6 +287,32 @@ def test_group_verdicts_match_the_dense_word_values(monkeypatch, mutate):
                 for inst in table}
 
 
+@pytest.mark.parametrize("mutate", [lambda inst: inst, _square_is_trivial,
+                                    _flip_last_exponent])
+def test_adjoint_verdicts_match_the_dense_operator_products(monkeypatch,
+                                                            mutate):
+    # the generator-image comparison of the sweep against whole operators:
+    # each word's dense product of its letters' operators
+    import titslift.autos as autos
+    for n in range(1, 5):
+        table = [mutate(inst) for inst in relation_instances(n)]
+        monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+        identity = Matrix.identity(dimension(n))
+
+        def dense(w):
+            out = identity
+            for i, e in w.letters:
+                out = out * _tau_power(n, i, e).op
+            return out
+
+        verdicts = {(PAIR_TAGS[r.tag], r.i, r.j): r.passed
+                    for r in verify_theorem1(n).relations}
+        assert verdicts == {
+            (inst.tag, inst.i, inst.j):
+                dense(inst.left) == dense(inst.right)
+            for inst in table}
+
+
 def test_algebra_level_cannot_see_the_centre_at_rank_one(monkeypatch):
     # S_1^2 evaluates to -1, which is central: the group level rejects
     # S_1^2 = 1 while conjugation by -1 is the identity operator
@@ -291,8 +333,8 @@ def test_algebra_passes_exactly_when_the_group_quotient_is_central():
         for n in range(1, 7):
             s = TitsSection.ones(n)
             for inst in map(mutate, relation_instances(n)):
-                algebra = (_word_operator(n, inst.left.letters)
-                           == _word_operator(n, inst.right.letters))
+                algebra = (_generator_images(n, inst.left.letters)
+                           == _generator_images(n, inst.right.letters))
                 left, right = (monomial_word(s, inst.left),
                                monomial_word(s, inst.right))
                 q = left * right.inverse()
@@ -310,7 +352,7 @@ def test_conjugation_is_a_homomorphism():
     g = sigma_generator(s, 1)
     h = sigma_generator(s, 2)
     assert conjugation_automorphism(g * h, n).op == (
-        conjugation_automorphism(g, n) * conjugation_automorphism(h, n)).op
+        conjugation_automorphism(g, n).op * conjugation_automorphism(h, n).op)
 
 
 def test_conjugation_dim_mismatch():
@@ -326,6 +368,17 @@ def test_verify_theorem1_small_ranks():
         assert rep.failures() == []
     tags = {r.tag for r in verify_theorem1(2).relations}
     assert tags == {"0.2", "0.4", "0.5", "0.6"}
+
+
+def test_verify_theorem1_above_rank_eight():
+    # the verdicts at the all-ones section, instance by instance
+    for n in (12, 16):
+        adjoint = verify_theorem1(n)
+        assert adjoint.all_pass
+        group = verify_group_relations(TitsSection.ones(n))
+        assert ({(PAIR_TAGS[r.tag], r.i, r.j): r.passed
+                 for r in adjoint.relations}
+                == {(r.tag, r.i, r.j): r.passed for r in group.relations})
 
 
 def test_verify_theorem1_rank_one_has_only_the_order_relation():

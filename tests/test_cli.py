@@ -259,14 +259,14 @@ def test_normalizer_check_rejects_boolean_dim(tmp_path, capsys):
 
 
 def test_eval_word_respects_rank_cap(capsys):
-    code, out, err = run(capsys, ["eval-word", "--n", "30", "--word", "1 30"])
+    code, out, err = run(capsys, ["eval-word", "--n", "33", "--word", "1 33"])
     _assert_input_error(code, err)
-    assert err == "error: rank 30 exceeds cap 8; raise it with --max-rank\n"
+    assert err == "error: rank 33 exceeds cap 32; raise it with --max-rank\n"
     assert out == ""
-    code, out, _ = run(capsys, ["eval-word", "--n", "30", "--word", "1 30",
-                                "--max-rank", "30"])
+    code, out, _ = run(capsys, ["eval-word", "--n", "33", "--word", "1 33",
+                                "--max-rank", "33"])
     assert code == 0
-    assert json.loads(out)["matrix"]["dim"] == 31
+    assert json.loads(out)["matrix"]["dim"] == 34
 
 
 def test_eval_word_result_too_large_to_print_is_an_input_error(capsys):
