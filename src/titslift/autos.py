@@ -7,7 +7,8 @@ monomial matrix, so it is built here in closed form from that lift's
 permutation and scales: every root line goes to one root line, and the
 operator has few nonzeros per column.  Operators are stored as sparse
 columns; a word is valued by the images of e_1..e_n, f_1..f_n, which
-generate the algebra, so no two operators are ever composed.  The dense
+generate the algebra, so no two operators are ever composed.  Each image
+stays one root vector, a (slot, coefficient) pair.  The dense
 exp(ad) product stays available through ``liealg.ad_matrix`` and
 ``linalg.exp_nilpotent`` as an independent check.  Conjugation by lifts is
 also how the group-level and algebra-level relation checks talk to each
@@ -128,9 +129,9 @@ def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
 class RelationCheck:
     """Outcome of one relation instance: tag, indices, verdict.
 
-    On failure, left and right hold the two evaluated sides, generator
-    images or monomials, so they can be inspected; they stay None on a
-    pass and never take part in equality or the JSON form.
+    On failure, left and right hold the two sides' values, generator
+    images as (slot, coefficient) pairs or monomial decompositions; they
+    stay None on a pass and never take part in equality or the JSON form.
     """
 
     tag: str
@@ -185,13 +186,16 @@ def report_from_json(obj: dict) -> RelationReport:
 _ADJOINT_TAG = {"2.9": "0.2", "2.10": "0.4", "2.11": "0.5", "2.12": "0.6"}
 
 
-def _generator_images(n: int, letters) -> tuple[Column, ...]:
-    """The images of e_1..e_n, f_1..f_n under tau_{l1} o ... o tau_{lm}."""
-    images = [{slot(n, OffDiagonal(k, k + 1)): 1} for k in range(1, n + 1)]
-    images += [{slot(n, OffDiagonal(k + 1, k)): 1} for k in range(1, n + 1)]
+def _generator_images(n: int, letters) -> tuple[tuple[int, Scalar], ...]:
+    """The images of e_1..e_n, f_1..f_n under tau_{l1} o ... o tau_{lm},
+    each a root vector held as a (slot, coefficient) pair."""
+    images = [(slot(n, OffDiagonal(k, k + 1)), 1) for k in range(1, n + 1)]
+    images += [(slot(n, OffDiagonal(k + 1, k)), 1) for k in range(1, n + 1)]
     for i, e in reversed(letters):
         cols = _tau_power(n, i, e).cols
-        images = [_combine(cols, v) for v in images]
+        for k, (r, x) in enumerate(images):
+            (t, y), = cols[r].items()  # a root line: one entry or raise
+            images[k] = (t, x * y)
     return tuple(images)
 
 

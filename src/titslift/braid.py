@@ -25,9 +25,11 @@ class BraidWord:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"rank must be at least 1, got {self.n}")
-        letters = tuple((int(i), int(e)) for i, e in self.letters)
+        letters = tuple((i, e) for i, e in self.letters)
         object.__setattr__(self, "letters", letters)
         for i, e in letters:
+            if type(i) is not int or type(e) is not int:
+                raise ValueError(f"letter ({i!r}, {e!r}) must be two ints")
             if not 1 <= i <= self.n:
                 raise ValueError(f"generator index {i} out of range 1..{self.n}")
             if e not in (1, -1):
@@ -91,10 +93,10 @@ def natural_projection(w: BraidWord) -> Permutation:
     Each S_i, with either exponent, maps to the adjacent transposition
     (i, i+1); letters compose left to right, matching matrix products.
     """
-    result = Permutation.identity(w.n + 1)
+    images = list(range(1, w.n + 2))
     for i, _ in w.letters:
-        result = result * Permutation.transposition(w.n + 1, i, i + 1)
-    return result
+        images[i - 1], images[i] = images[i], images[i - 1]
+    return Permutation(tuple(images))
 
 
 def is_pure(w: BraidWord) -> bool:

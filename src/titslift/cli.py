@@ -33,7 +33,7 @@ PARAMS_HELP = ("section parameters, integers or p/q, default all 1; "
 def _parse_params(n: int, text: str | None) -> TitsSection:
     if text is None:
         return TitsSection.ones(n)
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise ValueError(f"expected {n} parameters, got {len(parts)}")
     return TitsSection(n, tuple(parse_scalar(p) for p in parts))

@@ -107,18 +107,24 @@ def exp_construction(n: int, i: int) -> GroupElement:
 def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
     """Evaluate a braid word as a product of section lifts.
 
-    The product is taken in (permutation, scales) form, at O(n) per letter.
-    Each distinct letter's lift is looked up once per word, so the section
-    is hashed per distinct letter, not per letter.
+    The product is folded on plain lists of images and scales, at O(n) per
+    letter, and validated once: column j of x * S is column sigma_S(j) of
+    x times S's j-th scale, a product skipped when that scale is 1.  Each
+    distinct letter's lift is looked up once per word.
     """
     if s.n != w.n:
         raise ValueError(f"rank mismatch: section {s.n} vs word {w.n}")
-    lifts = {letter: monomial_lift(s, *letter) for letter in set(w.letters)}
-    dim = s.n + 1
-    out = MonomialDecomposition(Permutation.identity(dim), (1,) * dim)
+    lifts = {}  # letter -> (0-based sigma_S(j), S's j-th scale) per column
+    for letter in set(w.letters):
+        lift = monomial_lift(s, *letter)
+        lifts[letter] = [(j - 1, t)
+                         for j, t in zip(lift.sigma.images, lift.scales)]
+    images, scales = list(range(1, s.n + 2)), [1] * (s.n + 1)
     for letter in w.letters:
-        out = out * lifts[letter]
-    return out
+        cols = lifts[letter]
+        images = [images[k] for k, _ in cols]
+        scales = [scales[k] if t == 1 else scales[k] * t for k, t in cols]
+    return MonomialDecomposition(Permutation(tuple(images)), tuple(scales))
 
 
 def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
@@ -146,16 +152,6 @@ class MonomialDecomposition:
         object.__setattr__(self, "scales", scales)
         if any(x == 0 for x in scales):
             raise ValueError("monomial scales must be nonzero")
-
-    def __mul__(self, other: MonomialDecomposition) -> MonomialDecomposition:
-        """The decomposition of the matrix product self * other.
-
-        A scale of 1 in other, as in all but two columns of a lift, leaves
-        the entry it meets unchanged, so that product is skipped.
-        """
-        met = (self.scales[j - 1] for j in other.sigma.images)
-        return MonomialDecomposition(self.sigma * other.sigma, tuple(
-            x if t == 1 else x * t for x, t in zip(met, other.scales)))
 
     def inverse(self) -> MonomialDecomposition:
         """The decomposition of the inverse matrix.
@@ -278,6 +274,8 @@ def rational_nth_root(x: Scalar, k: int) -> Scalar | None:
     >>> rational_nth_root(2, 2) is None
     True
     """
+    if k < 1:
+        raise ValueError(f"root degree must be at least 1, got {k}")
     f = Fraction(x)
     if f < 0 and k % 2 == 0:
         return None

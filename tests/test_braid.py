@@ -33,6 +33,14 @@ def test_parse_rejects_bad_input():
         parse_word(2, "one")
 
 
+def test_word_rejects_letters_that_are_not_ints():
+    for letter in ((1.9, 1), ("2", 1), (True, 1), (1, 1.0), (2, True)):
+        with pytest.raises(ValueError, match="must be two ints"):
+            BraidWord(2, (letter,))
+    # lists are still taken as letters, stored as tuples
+    assert BraidWord(2, ([2, -1],)).letters == ((2, -1),)
+
+
 def test_free_reduction_cancels_adjacent_inverses():
     w = parse_word(2, "1 -1 2")
     assert w.free_reduce() == parse_word(2, "2")

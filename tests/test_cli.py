@@ -78,6 +78,20 @@ def test_verify_rejects_decimal_params(capsys):
     assert out == ""
 
 
+def test_verify_rejects_empty_params_fields(capsys):
+    # an empty field is a field: it is neither skipped nor counted away
+    for text in ("1,,2", "1,2,"):
+        code, out, err = run(capsys, ["verify", "--n", "2", "--level",
+                                      "group", "--params", text])
+        _assert_input_error(code, err)
+        assert err.startswith("error: bad --params: ")
+        assert out == ""
+    code, _, err = run(capsys, ["verify", "--n", "3", "--level", "group",
+                                "--params", "1,,2"])
+    _assert_input_error(code, err)
+    assert "got ''" in err
+
+
 def test_params_zero_denominator_is_named(capsys):
     for cmd in (["verify", "--n", "2"],
                 ["eval-word", "--n", "2", "--word", "1"]):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from titslift.braid import natural_projection, parse_word
+from titslift.braid import BraidWord, natural_projection, parse_word
 from titslift.linalg import Matrix
 from titslift.roots import Permutation
 from titslift.tits import (GroupElement, MonomialDecomposition,
@@ -31,19 +31,6 @@ def random_torus(rng, dim):
         prod *= x
     entries.append(1 / prod)
     return GroupElement(Matrix.diagonal(entries))
-
-
-def random_monomial(rng, dim):
-    images = list(range(1, dim + 1))
-    rng.shuffle(images)
-    sigma = Permutation(tuple(images))
-    scales = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
-              for _ in range(dim - 1)]
-    prod = Fraction(sigma.sign())
-    for x in scales:
-        prod *= x
-    scales.append(1 / prod)  # determinant one, so reconstruct() accepts it
-    return MonomialDecomposition(sigma, tuple(scales))
 
 
 def test_group_element_requires_det_one():
@@ -140,21 +127,12 @@ def test_evaluate_word_matches_the_dense_product():
         assert evaluate_word(s, w).m == dense
 
 
-def test_monomial_product_matches_matrix_product():
-    rng = random.Random(29)
-    for _ in range(30):
-        dim = rng.randint(1, 5)
-        a, b = random_monomial(rng, dim), random_monomial(rng, dim)
-        assert (a * b).reconstruct().m == \
-            a.reconstruct().m * b.reconstruct().m
-
-
 def test_monomial_lift_times_its_inverse_is_the_identity():
     rng = random.Random(31)
     for n in (1, 2, 3, 4):
         s = random_section(rng, n)
         for i in range(1, n + 1):
-            prod = monomial_lift(s, i, 1) * monomial_lift(s, i, -1)
+            prod = monomial_word(s, BraidWord(n, ((i, 1), (i, -1))))
             assert prod.sigma.is_identity()
             assert prod.scales == (1,) * (n + 1)
     with pytest.raises(ValueError):
@@ -173,6 +151,24 @@ def test_word_permutation_is_the_natural_projection():
             str(rng.choice([-1, 1]) * rng.randint(1, n))
             for _ in range(rng.randint(0, 15))))
         assert natural_projection(w) == monomial_word(s, w).sigma
+
+
+def test_monomial_word_validates_once_per_word(monkeypatch):
+    # a product of valid factors is valid, so only the word's value is
+    # built as a record, whatever the word's length
+    rng = random.Random(37)
+    s = random_section(rng, 4)
+    w = BraidWord(4, tuple((rng.randint(1, 4), rng.choice((1, -1)))
+                           for _ in range(40)))
+    expected = monomial_word(s, w)  # warms the lift cache
+    built = []
+    for cls in (MonomialDecomposition, Permutation):
+        def counted(self, post=cls.__post_init__):
+            built.append(type(self).__name__)
+            post(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    assert monomial_word(s, w) == expected
+    assert sorted(built) == ["MonomialDecomposition", "Permutation"]
 
 
 def test_normalizer_decompose_diagonal_and_permutation():
@@ -274,6 +270,9 @@ def test_rational_nth_root():
     # a radicand big enough to stress the integer Newton iteration
     big = Fraction(10 ** 60 + 3, 7 ** 30)
     assert rational_nth_root(big ** 3, 3) == big
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            rational_nth_root(8, k)
 
 
 def test_conjugation_witness_worked_instance():
