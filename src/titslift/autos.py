@@ -25,7 +25,7 @@ from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
                      basis_matrix, dimension, slot)
 from .linalg import Matrix, Scalar, canonical
 from .records import frozen
-from .tits import GroupElement, TitsSection, monomial_lift, monomial_word
+from .tits import GroupElement, TitsSection, monomial_lift, word_fold
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
 
@@ -186,11 +186,22 @@ def report_from_json(obj: dict) -> RelationReport:
 _ADJOINT_TAG = {"2.9": "0.2", "2.10": "0.4", "2.11": "0.5", "2.12": "0.6"}
 
 
+@lru_cache(maxsize=None)
+def _generators(n: int) -> tuple[tuple[int, int], ...]:
+    """e_1..e_n, f_1..f_n as (slot, coefficient) pairs, built once per rank."""
+    e = [(slot(n, OffDiagonal(k, k + 1)), 1) for k in range(1, n + 1)]
+    f = [(slot(n, OffDiagonal(k + 1, k)), 1) for k in range(1, n + 1)]
+    return tuple(e + f)
+
+
 def _generator_images(n: int, letters) -> tuple[tuple[int, Scalar], ...]:
     """The images of e_1..e_n, f_1..f_n under tau_{l1} o ... o tau_{lm},
-    each a root vector held as a (slot, coefficient) pair."""
-    images = [(slot(n, OffDiagonal(k, k + 1)), 1) for k in range(1, n + 1)]
-    images += [(slot(n, OffDiagonal(k + 1, k)), 1) for k in range(1, n + 1)]
+    each a root vector held as a (slot, coefficient) pair.
+
+    The starting pairs come from the per-rank _generators; each letter
+    moves every pair through one entry of a cached operator column.
+    """
+    images = list(_generators(n))
     for i, e in reversed(letters):
         cols = _tau_power(n, i, e).cols
         for k, (r, x) in enumerate(images):
@@ -230,6 +241,7 @@ def verify_theorem1(n: int) -> RelationReport:
 def verify_group_relations(s: TitsSection) -> RelationReport:
     """Check every defining relation for the lifts of one section.
 
-    Words are compared as (permutation, scales) pairs.
+    Words are compared as (permutation, scales) pairs, all folded over
+    one table of the section's lifts.
     """
-    return _sweep(s.n, str, lambda w: monomial_word(s, w))
+    return _sweep(s.n, str, word_fold(s))

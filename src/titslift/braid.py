@@ -48,6 +48,8 @@ class BraidWord:
         """
         letters = []
         for v in signed:
+            if type(v) is not int:  # a bool is not a generator index
+                raise ValueError(f"letter {v!r} must be an int")
             if v == 0:
                 raise ValueError("0 is not a generator index")
             letters.append((abs(v), 1 if v > 0 else -1))

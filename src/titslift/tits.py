@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .braid import BraidWord
 from .linalg import Matrix, Scalar, canonical, exp_nilpotent
@@ -104,27 +105,47 @@ def exp_construction(n: int, i: int) -> GroupElement:
     return GroupElement(exp_nilpotent(e) * exp_nilpotent(-f) * exp_nilpotent(e))
 
 
+def word_fold(s: TitsSection) -> Callable[[BraidWord], MonomialDecomposition]:
+    """The map taking a braid word to its product of the section's lifts.
+
+    Every lift S_i^e is looked up once, here: it changes only the two
+    columns it moves or scales, and column j of x * S is column
+    sigma_S(j) of x times S's j-th scale.  So each letter rewrites two
+    entries of plain image and scale lists, in O(1), and a word's value
+    is validated once, as one MonomialDecomposition.
+    """
+    n = s.n
+    table = {}  # letter -> (j, k, sigma_S(j), sigma_S(k), S_j, S_k), 0-based
+    for i in range(1, n + 1):
+        for e in (1, -1):
+            lift = monomial_lift(s, i, e)
+            src = [c - 1 for c in lift.sigma.images]
+            # a lift touching another number of columns raises here
+            j, k = (c for c in range(n + 1)
+                    if src[c] != c or lift.scales[c] != 1)
+            table[i, e] = (j, k, src[j], src[k],
+                           lift.scales[j], lift.scales[k])
+
+    def fold(w: BraidWord) -> MonomialDecomposition:
+        if w.n != n:
+            raise ValueError(f"rank mismatch: section {n} vs word {w.n}")
+        images, scales = list(range(1, n + 2)), [1] * (n + 1)
+        for letter in w.letters:
+            j, k, sj, sk, tj, tk = table[letter]
+            images[j], images[k] = images[sj], images[sk]
+            scales[j], scales[k] = scales[sj] * tj, scales[sk] * tk
+        return MonomialDecomposition(Permutation(tuple(images)),
+                                     tuple(scales))
+    return fold
+
+
 def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
     """Evaluate a braid word as a product of section lifts.
 
-    The product is folded on plain lists of images and scales, at O(n) per
-    letter, and validated once: column j of x * S is column sigma_S(j) of
-    x times S's j-th scale, a product skipped when that scale is 1.  Each
-    distinct letter's lift is looked up once per word.
+    This is word_fold(s)(w); to value many words over one section, build
+    the fold once.
     """
-    if s.n != w.n:
-        raise ValueError(f"rank mismatch: section {s.n} vs word {w.n}")
-    lifts = {}  # letter -> (0-based sigma_S(j), S's j-th scale) per column
-    for letter in set(w.letters):
-        lift = monomial_lift(s, *letter)
-        lifts[letter] = [(j - 1, t)
-                         for j, t in zip(lift.sigma.images, lift.scales)]
-    images, scales = list(range(1, s.n + 2)), [1] * (s.n + 1)
-    for letter in w.letters:
-        cols = lifts[letter]
-        images = [images[k] for k, _ in cols]
-        scales = [scales[k] if t == 1 else scales[k] * t for k, t in cols]
-    return MonomialDecomposition(Permutation(tuple(images)), tuple(scales))
+    return word_fold(s)(w)
 
 
 def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:

@@ -392,6 +392,40 @@ def test_verify_theorem1_rank_one_has_only_the_order_relation():
     assert rep.all_pass
 
 
+def test_generator_slots_are_built_once_per_rank(monkeypatch):
+    # the starting images of e_k, f_k are the same for every word
+    import titslift.autos as autos
+    verify_theorem1(4)  # fills the per-rank caches
+    calls = []
+
+    def counted(n, idx):
+        calls.append(idx)
+        return slot(n, idx)
+    monkeypatch.setattr(autos, "slot", counted)
+    assert verify_theorem1(4).all_pass
+    assert calls == []
+
+
+def test_group_sweep_looks_each_lift_up_once(monkeypatch):
+    # one table of lifts per section, whatever the number of words
+    import titslift.tits as tits
+    rng = random.Random(61)
+    n = 6
+    s = TitsSection(n, tuple(Fraction(rng.choice((-1, 1)) * rng.randint(2, 9),
+                                      rng.randint(2, 9)) for _ in range(n)))
+    expected = verify_group_relations(s)  # fills the lift cache
+    lift, calls = tits.monomial_lift, []
+
+    def counted(s, i, e):
+        calls.append((i, e))
+        return lift(s, i, e)
+    monkeypatch.setattr(tits, "monomial_lift", counted)
+    assert verify_group_relations(s) == expected
+    assert expected.all_pass
+    assert len(calls) <= 2 * n
+    assert len(relation_instances(n)) > 2 * n
+
+
 def test_verify_group_relations():
     from fractions import Fraction
     rep = verify_group_relations(TitsSection(2, (Fraction(3, 7), -2)))

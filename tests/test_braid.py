@@ -41,6 +41,13 @@ def test_word_rejects_letters_that_are_not_ints():
     assert BraidWord(2, ([2, -1],)).letters == ((2, -1),)
 
 
+def test_from_ints_rejects_letters_that_are_not_ints():
+    for signed in ([True], [1, False], [1.0], ["2"], [-1.5]):
+        with pytest.raises(ValueError, match="must be an int"):
+            BraidWord.from_ints(2, signed)
+    assert BraidWord.from_ints(2, [2, -1]).letters == ((2, 1), (1, -1))
+
+
 def test_free_reduction_cancels_adjacent_inverses():
     w = parse_word(2, "1 -1 2")
     assert w.free_reduce() == parse_word(2, "2")

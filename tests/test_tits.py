@@ -112,14 +112,23 @@ def test_evaluate_word_identities():
 
 
 def test_evaluate_word_matches_the_dense_product():
-    # the monomial fold against the dense product of the dense lifts
+    # the monomial fold against the dense product of the dense lifts; the
+    # second half draws letters from two indices, so every word repeats a
+    # letter and uses both exponents of it
     rng = random.Random(23)
-    for _ in range(40):
+    for trial in range(80):
         n = rng.randint(1, 4)
         s = random_section(rng, n)
-        w = parse_word(n, " ".join(
-            str(rng.choice([-1, 1]) * rng.randint(1, n))
-            for _ in range(rng.randint(0, 12))))
+        if trial < 40:
+            w = parse_word(n, " ".join(
+                str(rng.choice([-1, 1]) * rng.randint(1, n))
+                for _ in range(rng.randint(0, 12))))
+        else:
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            signed = [i, -i] + [rng.choice([-1, 1]) * rng.choice([i, j])
+                                for _ in range(rng.randint(1, 12))]
+            rng.shuffle(signed)
+            w = BraidWord.from_ints(n, signed)
         dense = Matrix.identity(n + 1)
         for i, e in w.letters:
             g = sigma_generator(s, i).m
