@@ -4,15 +4,19 @@ generators, and batch verification of the relations they satisfy.
 The i-th automorphism is exp(ad e_i) exp(ad(-f_i)) exp(ad e_i).  It equals
 conjugation by the parameter-1 lift of the i-th braid generator, a
 monomial matrix, so it is built here in closed form from that lift's
-permutation and scales: every root line goes to one root line, and the
-operator has few nonzeros per column.  Operators are stored as sparse
-columns; a word is valued by the images of e_1..e_n, f_1..f_n, which
-generate the algebra, so no two operators are ever composed.  Each image
-stays one root vector, a (slot, coefficient) pair.  The dense
-exp(ad) product stays available through ``liealg.ad_matrix`` and
-``linalg.exp_nilpotent`` as an independent check.  Conjugation by lifts is
-also how the group-level and algebra-level relation checks talk to each
-other.
+permutation and scales, as sparse columns.  The dense exp(ad) product
+stays available through ``liealg.ad_matrix`` and ``linalg.exp_nilpotent``
+as an independent check.  Only this operator code loads ``liealg``.
+
+Neither relation sweep builds an operator.  Both fold each word once into
+its generic value (``tits.word_fold``), whose scales are signs times
+Laurent monomials in a_1..a_n, and equal generic values are equal at every
+section.  Where the two values of an instance differ, the group level
+evaluates both at its section, and the algebra level reads the images of
+e_1..e_n, f_1..f_n, which generate the algebra, off the value g at a = 1:
+Ad(g) sends e_k to s_k s_{k+1} E_{sigma(k), sigma(k+1)} and f_k to the
+transposed unit with the same coefficient.  Either comparison is exact and
+is the verdict.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .braid import relation_instances
-from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
-                     basis_matrix, dimension, slot)
 from .linalg import Matrix, Scalar, canonical
 from .records import frozen
-from .tits import GroupElement, TitsSection, monomial_lift, word_fold
+from .tits import (GroupElement, TitsSection, monomial_lift, value_at,
+                   word_fold)
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
 
@@ -52,6 +55,7 @@ class AlgebraAutomorphism:
     cols: tuple[Column, ...]
 
     def __post_init__(self):
+        from .liealg import dimension
         d = dimension(self.n)
         if len(self.cols) != d:
             raise ValueError(
@@ -69,6 +73,7 @@ class AlgebraAutomorphism:
         return Matrix(rows)
 
     def apply(self, x: LieElement) -> LieElement:
+        from .liealg import LieElement
         if x.n != self.n:
             raise ValueError(f"rank mismatch: {self.n} vs {x.n}")
         coords = _combine(self.cols, dict(enumerate(x.coords)))
@@ -86,6 +91,7 @@ def _tau_power(n: int, i: int, e: int) -> AlgebraAutomorphism:
     diagonal matrix E_{sigma(k), sigma(k)} - E_{sigma(k+1), sigma(k+1)},
     whose h-coordinates are its cumulative sums.
     """
+    from .liealg import Cartan, OffDiagonal, basis_indices, slot
     dec = monomial_lift(TitsSection.ones(n), i, e)
     sigma, s = dec.sigma, dec.scales
     cols = []
@@ -115,6 +121,7 @@ def tau_generator(n: int, i: int) -> AlgebraAutomorphism:
 
 def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
     """The operator x -> g x g^{-1} on trace-zero matrices."""
+    from .liealg import LieElement, basis_indices, basis_matrix
     if g.dim != n + 1:
         raise ValueError(f"group element dim {g.dim} does not match rank {n}")
     g_inv = g.m.inv()
@@ -129,9 +136,10 @@ def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
 class RelationCheck:
     """Outcome of one relation instance: tag, indices, verdict.
 
-    On failure, left and right hold the two sides' values, generator
-    images as (slot, coefficient) pairs or monomial decompositions; they
-    stay None on a pass and never take part in equality or the JSON form.
+    On failure, left and right hold the two sides' values: the generator
+    images as (row, column, coefficient) triples, or the monomial
+    decompositions at the section.  They stay None on a pass and never
+    take part in equality or the JSON form.
     """
 
     tag: str
@@ -186,40 +194,31 @@ def report_from_json(obj: dict) -> RelationReport:
 _ADJOINT_TAG = {"2.9": "0.2", "2.10": "0.4", "2.11": "0.5", "2.12": "0.6"}
 
 
-@lru_cache(maxsize=None)
-def _generators(n: int) -> tuple[tuple[int, int], ...]:
-    """e_1..e_n, f_1..f_n as (slot, coefficient) pairs, built once per rank."""
-    e = [(slot(n, OffDiagonal(k, k + 1)), 1) for k in range(1, n + 1)]
-    f = [(slot(n, OffDiagonal(k + 1, k)), 1) for k in range(1, n + 1)]
-    return tuple(e + f)
+def _adjoint_images(value: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """e_1..e_n, then f_1..f_n, under Ad of the value at a = 1, each a
+    matrix unit E_{row, column} times a coefficient, as a triple."""
+    g = value_at(TitsSection.ones(len(value) - 1), value)
+    rows, signs = g.sigma.images, g.scales
+    e = [(rows[k], rows[k + 1], signs[k] * signs[k + 1])
+         for k in range(len(rows) - 1)]
+    return tuple(e + [(col, row, x) for row, col, x in e])
 
 
-def _generator_images(n: int, letters) -> tuple[tuple[int, Scalar], ...]:
-    """The images of e_1..e_n, f_1..f_n under tau_{l1} o ... o tau_{lm},
-    each a root vector held as a (slot, coefficient) pair.
+def _sweep(n: int, tag, at) -> RelationReport:
+    """Fold both words of every relation instance and compare them.
 
-    The starting pairs come from the per-rank _generators; each letter
-    moves every pair through one entry of a cached operator column.
+    tag maps the table's group-level tag to the report's.  Where the
+    generic values differ, at specializes both, and their exact
+    comparison is the verdict; a failing check keeps the two.
     """
-    images = list(_generators(n))
-    for i, e in reversed(letters):
-        cols = _tau_power(n, i, e).cols
-        for k, (r, x) in enumerate(images):
-            (t, y), = cols[r].items()  # a root line: one entry or raise
-            images[k] = (t, x * y)
-    return tuple(images)
-
-
-def _sweep(n: int, tag, value) -> RelationReport:
-    """Value both words of every relation instance and compare them exactly.
-
-    tag maps the table's group-level tag to the report's, and value takes
-    a word to its value.  A failing check keeps the two values.
-    """
+    fold = word_fold(n)
     checks = []
     for inst in relation_instances(n):
-        left, right = value(inst.left), value(inst.right)
+        left, right = fold(inst.left), fold(inst.right)
         passed = left == right
+        if not passed:
+            left, right = at(left), at(right)
+            passed = left == right
         checks.append(RelationCheck(
             tag(inst.tag), inst.i, inst.j, passed,
             left=None if passed else left,
@@ -230,18 +229,16 @@ def _sweep(n: int, tag, value) -> RelationReport:
 def verify_theorem1(n: int) -> RelationReport:
     """Check every defining relation at the algebra level for rank n.
 
-    Each word is valued as the images of the generators e_1..e_n,
-    f_1..f_n, and the two tuples are compared exactly; the report tags
-    are the algebra-level ones.
+    The report tags are the algebra-level ones; each word is valued by
+    the images of the generators e_1..e_n, f_1..f_n.
     """
-    return _sweep(n, _ADJOINT_TAG.__getitem__,
-                  lambda w: _generator_images(n, w.letters))
+    return _sweep(n, _ADJOINT_TAG.__getitem__, _adjoint_images)
 
 
 def verify_group_relations(s: TitsSection) -> RelationReport:
     """Check every defining relation for the lifts of one section.
 
-    Words are compared as (permutation, scales) pairs, all folded over
-    one table of the section's lifts.
+    Where two generic values differ, both are evaluated at s and
+    compared as (permutation, scales) pairs.
     """
-    return _sweep(s.n, str, word_fold(s))
+    return _sweep(s.n, str, lambda value: value_at(s, value))

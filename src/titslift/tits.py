@@ -8,17 +8,16 @@ identity outside rows and columns {i, i+1} with the block
     ( -1/a_i    0  )
 
 which has determinant one and squares to the diagonal matrix with -1 at
-slots i and i+1.  Words in the braid generators evaluate to products of
-these lifts and always land in the normalizer of the torus, i.e. among
-monomial matrices.  Everything is exact over the rationals; where a
-construction would force a root that the rationals do not contain, the
-operation reports that explicitly instead of approximating.
+slots i and i+1.  A word's generic value is a monomial matrix with scales
+in Z[a_1^{+-1}..a_n^{+-1}], valid at every section.  All is exact over
+the rationals; a root the rationals lack is reported, not approximated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable
 
 from .braid import BraidWord
@@ -93,11 +92,8 @@ def sigma_generator(s: TitsSection, i: int) -> GroupElement:
 
 
 def exp_construction(n: int, i: int) -> GroupElement:
-    """The all-ones lift built from terminating exponentials.
-
-    Multiplies exp(e_i) exp(-f_i) exp(e_i), an independent construction
-    path that must agree with sigma_generator at parameter 1.
-    """
+    """The all-ones lift as exp(e_i) exp(-f_i) exp(e_i), an independent
+    construction that must agree with sigma_generator at parameter 1."""
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range 1..{n}")
     e = Matrix.unit(n + 1, i, i + 1)
@@ -105,47 +101,77 @@ def exp_construction(n: int, i: int) -> GroupElement:
     return GroupElement(exp_nilpotent(e) * exp_nilpotent(-f) * exp_nilpotent(e))
 
 
-def word_fold(s: TitsSection) -> Callable[[BraidWord], MonomialDecomposition]:
-    """The map taking a braid word to its product of the section's lifts.
+_W = 32  # bits per field of a column of a generic value; see word_fold
+_MASK, _HALF, _PARITY = (1 << _W) - 1, 1 << _W - 1, ~((1 << _W) - 2 << _W)
 
-    Every lift S_i^e is looked up once, here: it changes only the two
-    columns it moves or scales, and column j of x * S is column
-    sigma_S(j) of x times S's j-th scale.  So each letter rewrites two
-    entries of plain image and scale lists, in O(1), and a word's value
-    is validated once, as one MonomialDecomposition.
+
+def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
+    """The map taking a rank-n braid word to its generic value.
+
+    Each column is one int of _W-bit fields: its row, its count of minus
+    signs (kept mod 2), and the exponents of a_1..a_n offset by _HALF.  The
+    lifts S_i^{+-1} are read once, off monomial_lift at the section of the
+    first n primes, by factoring each scale +-prod p_k^{e_k} into fields.
+    Column j of x * S is column sigma_S(j) of x times S's j-th scale, and a
+    lift moves and scales two columns, so a letter adds two ints.
     """
-    n = s.n
-    table = {}  # letter -> (j, k, sigma_S(j), sigma_S(k), S_j, S_k), 0-based
-    for i in range(1, n + 1):
-        for e in (1, -1):
-            lift = monomial_lift(s, i, e)
-            src = [c - 1 for c in lift.sigma.images]
-            # a lift touching another number of columns raises here
-            j, k = (c for c in range(n + 1)
-                    if src[c] != c or lift.scales[c] != 1)
-            table[i, e] = (j, k, src[j], src[k],
-                           lift.scales[j], lift.scales[k])
+    primes, p = [], 2
+    while len(primes) < n:
+        if all(p % q for q in primes):
+            primes.append(p)
+        p += 1
 
-    def fold(w: BraidWord) -> MonomialDecomposition:
-        if w.n != n:
-            raise ValueError(f"rank mismatch: section {n} vs word {w.n}")
-        images, scales = list(range(1, n + 2)), [1] * (n + 1)
+    def fields(x: Scalar) -> int:
+        out, x = (x < 0) << _W, abs(Fraction(x))
+        for k, p in enumerate(primes, start=2):
+            while x.numerator % p == 0 or x.denominator % p == 0:
+                e = 1 if x.numerator % p == 0 else -1
+                x, out = x / Fraction(p) ** e, out + (e << _W * k)
+        if x != 1:
+            raise ValueError(f"lift scale leaves the non-monomial factor {x}")
+        return out
+
+    table = {}  # letter -> (j, k, sigma_S(j), sigma_S(k), S_j, S_k), 0-based
+    s = TitsSection(n, tuple(primes))
+    for i, e in ((i, e) for i in range(1, n + 1) for e in (1, -1)):
+        lift = monomial_lift(s, i, e)
+        src = [c - 1 for c in lift.sigma.images]
+        # a lift touching another number of columns raises here
+        j, k = (c for c in range(n + 1) if src[c] != c or lift.scales[c] != 1)
+        table[i, e] = (j, k, src[j], src[k],
+                       fields(lift.scales[j]), fields(lift.scales[k]))
+    one = sum(_HALF << _W * k for k in range(2, n + 2))
+
+    def fold(w: BraidWord) -> tuple[int, ...]:
+        if w.n != n or len(w.letters) >= _HALF:
+            raise ValueError(f"need a rank-{n} word under {_HALF} letters")
+        cols = list(range(one + 1, one + n + 2))
         for letter in w.letters:
             j, k, sj, sk, tj, tk = table[letter]
-            images[j], images[k] = images[sj], images[sk]
-            scales[j], scales[k] = scales[sj] * tj, scales[sk] * tk
-        return MonomialDecomposition(Permutation(tuple(images)),
-                                     tuple(scales))
+            cols[j], cols[k] = cols[sj] + tj, cols[sk] + tk
+        return tuple(x & _PARITY for x in cols)
     return fold
 
 
-def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
-    """Evaluate a braid word as a product of section lifts.
+def value_at(s: TitsSection, value: tuple[int, ...]) -> MonomialDecomposition:
+    """A generic value at the section s, validated once.  Evaluation at s
+    is a ring map Z[a^{+-1}] -> Q, so words with one generic value agree."""
+    if len(value) != s.n + 1:
+        raise ValueError(f"rank mismatch: section {s.n} vs {len(value) - 1}")
+    scales = []
+    for x in value:
+        scales.append(Fraction(-1 if x >> _W & 1 else 1))
+        for k, a in enumerate(s.params, start=2):
+            if e := (x >> _W * k & _MASK) - _HALF:
+                scales[-1] *= Fraction(a) ** e
+    return MonomialDecomposition(
+        Permutation(tuple(x & _MASK for x in value)), tuple(scales))
 
-    This is word_fold(s)(w); to value many words over one section, build
-    the fold once.
-    """
-    return word_fold(s)(w)
+
+def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
+    """Evaluate a braid word as a product of section lifts: its generic
+    value at s.  To value many words, build word_fold(n) once."""
+    return value_at(s, word_fold(s.n)(w))
 
 
 def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
@@ -174,16 +200,6 @@ class MonomialDecomposition:
         if any(x == 0 for x in scales):
             raise ValueError("monomial scales must be nonzero")
 
-    def inverse(self) -> MonomialDecomposition:
-        """The decomposition of the inverse matrix.
-
-        The inverse holds 1/scales[j-1] in row j of column sigma(j).
-        """
-        inv = self.sigma.inverse()
-        return MonomialDecomposition(inv, tuple(
-            Fraction(1) / self.scales[inv(c) - 1]
-            for c in range(1, inv.n_points + 1)))
-
     def reconstruct(self) -> GroupElement:
         dim = self.sigma.n_points
         rows = [[0] * dim for _ in range(dim)]
@@ -192,22 +208,20 @@ class MonomialDecomposition:
         return GroupElement(Matrix(rows))
 
 
-@lru_cache(maxsize=None)
 def monomial_lift(s: TitsSection, i: int, e: int) -> MonomialDecomposition:
     """S_i^e for the section s, where e is +1 or -1.
 
     S_i swaps slots i and i+1, with -1/a_i in column i and a_i in column
-    i+1.  Every other form of the lift, dense or adjoint, is read off this.
+    i+1; S_i^-1 is the lift at -a_i.  Every other form of the lift,
+    generic, dense or adjoint, is read off this.
     """
     if not 1 <= i <= s.n:
         raise ValueError(f"generator index {i} out of range 1..{s.n}")
-    if e == -1:
-        return monomial_lift(s, i, 1).inverse()
-    if e != 1:
+    if e not in (1, -1):
         raise ValueError(f"exponent must be +1 or -1, got {e}")
+    a = s.params[i - 1] * e
     scales = [1] * (s.n + 1)
-    scales[i - 1] = Fraction(-1) / s.params[i - 1]
-    scales[i] = s.params[i - 1]
+    scales[i - 1], scales[i] = Fraction(-1) / a, a
     return MonomialDecomposition(
         Permutation.transposition(s.n + 1, i, i + 1), tuple(scales))
 
@@ -220,8 +234,7 @@ def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:
     diagonal torus.
     """
     dim = x.dim
-    images = []
-    scales = []
+    images, scales = [], []
     for col in range(1, dim + 1):
         hits = [row for row in range(1, dim + 1) if x.m[row, col] != 0]
         if len(hits) != 1:
@@ -229,29 +242,23 @@ def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:
                 f"column {col} has {len(hits)} nonzero entries")
         images.append(hits[0])
         scales.append(x.m[hits[0], col])
-    if len(set(images)) != dim:
-        shared = [r for r in images if images.count(r) > 1][0]
-        raise NotInNormalizer(f"row {shared} has multiple nonzero entries")
+    # one nonzero per column and determinant one: the rows are distinct
     return MonomialDecomposition(Permutation(tuple(images)), tuple(scales))
 
 
 def coset_class(x: GroupElement) -> Permutation:
-    """The torus coset of a monomial matrix, as a permutation.
-
-    Dividing x by any monomial matrix with the same permutation lands in
-    the torus.
-    """
+    """The torus coset of a monomial matrix, as a permutation: dividing x
+    by any monomial matrix with that permutation lands in the torus."""
     return normalizer_decompose(x).sigma
 
 
 def torus_generation_witness(x: GroupElement) -> list[GroupElement]:
     """Factor a diagonal determinant-one matrix across the rank-one tori.
 
-    The i-th factor is the identity outside slots (i, i+1) where it
-    carries (P_i, 1/P_i), with P_i the product of the first i diagonal
-    entries of x; the cumulative pattern telescopes so the factors
-    multiply back to x.  Over the rationals every nonzero P_i is allowed,
-    so any diagonal determinant-one matrix factors exactly.
+    The i-th factor is the identity outside slots (i, i+1), where it
+    carries (P_i, 1/P_i) with P_i the product of the first i diagonal
+    entries of x; the factors telescope back to x.  Over the rationals
+    every nonzero P_i is allowed, so every such matrix factors exactly.
     """
     if not x.m.is_diagonal():
         raise ValueError("matrix is not diagonal")
@@ -264,8 +271,7 @@ def torus_generation_witness(x: GroupElement) -> list[GroupElement]:
     for i in range(1, dim):
         running = canonical(Fraction(running) * Fraction(diag[i - 1]))
         entries = [1] * dim
-        entries[i - 1] = running
-        entries[i] = canonical(Fraction(1) / Fraction(running))
+        entries[i - 1:i + 1] = running, canonical(1 / Fraction(running))
         factors.append(GroupElement(Matrix.diagonal(entries)))
     return factors
 
@@ -311,16 +317,12 @@ def rational_nth_root(x: Scalar, k: int) -> Scalar | None:
 def conjugation_witness(s: TitsSection, s2: TitsSection) -> GroupElement:
     """A torus element t with t * lift'(i) * t^{-1} = lift(i) for all i.
 
-    Conjugating the block of the i-th lift by diag(t_1..t_{n+1}) scales
-    its upper entry by t_i / t_{i+1}, so t must satisfy
-
-        t_i / t_{i+1} = a_i / b_i   for all i,   prod t_i = 1,
-
-    where a are the parameters of s and b those of s2.  The determinant
-    condition forces t_{n+1} to be an (n+1)-th root of a product of
-    parameter ratios; when the rationals contain no such root the witness
-    does not exist exactly and NoExactWitness is raised.  For even n+1
-    the positive root is chosen.
+    Conjugating the i-th lift by diag(t_1..t_{n+1}) scales its upper entry
+    by t_i / t_{i+1}, so t_i / t_{i+1} = a_i / b_i for all i, where a are
+    the parameters of s and b those of s2, and prod t_i = 1.  This forces
+    t_{n+1} to be an (n+1)-th root of a product of parameter ratios; when
+    the rationals hold no such root, NoExactWitness is raised.  For even
+    n+1 the positive root is chosen.
     """
     if s.n != s2.n:
         raise ValueError(f"rank mismatch: {s.n} vs {s2.n}")
@@ -330,9 +332,7 @@ def conjugation_witness(s: TitsSection, s2: TitsSection) -> GroupElement:
     suffix = [Fraction(1)] * (n + 2)
     for i in range(n, 0, -1):
         suffix[i] = ratios[i - 1] * suffix[i + 1]
-    prod_suffix = Fraction(1)
-    for i in range(1, n + 2):
-        prod_suffix *= suffix[i]
+    prod_suffix = prod(suffix[1:])
     t_last = rational_nth_root(1 / prod_suffix, n + 1)
     if t_last is None:
         raise NoExactWitness(

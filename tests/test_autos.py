@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from titslift.autos import (AlgebraAutomorphism, RelationCheck,
-                            RelationReport, _combine, _generator_images,
+                            RelationReport, _adjoint_images, _combine,
                             _tau_power, conjugation_automorphism,
                             report_from_json, report_to_json, tau_generator,
                             verify_group_relations, verify_theorem1)
@@ -16,11 +16,36 @@ from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
                              basis_indices, bracket, decompose_by_cartan,
                              dimension, generator, slot)
 from titslift.linalg import Matrix, exp_nilpotent
-from titslift.tits import (MonomialDecomposition, TitsSection, evaluate_word,
-                           monomial_word, sigma_generator)
+from titslift.tits import (GroupElement, MonomialDecomposition, TitsSection,
+                           monomial_word, sigma_generator, word_fold)
 
 # algebra-level tag -> group-level tag of the same relation family
 PAIR_TAGS = {"0.2": "2.9", "0.4": "2.10", "0.5": "2.11", "0.6": "2.12"}
+
+
+def _dense_word(s, w):
+    """The dense product of the dense lifts and their inverses."""
+    out = GroupElement.identity(s.n + 1)
+    for i, e in w.letters:
+        g = sigma_generator(s, i)
+        out = out * (g if e == 1 else g.inv())
+    return out
+
+
+def _walked_images(n, letters):
+    """The images of e_1..e_n, f_1..f_n under tau_{l1} o ... o tau_{lm},
+    walked through the sparse columns of the operators, last letter
+    first; each image is one root vector, as (row, column, coefficient).
+    """
+    images = [(slot(n, OffDiagonal(k, k + 1)), 1) for k in range(1, n + 1)]
+    images += [(slot(n, OffDiagonal(k + 1, k)), 1) for k in range(1, n + 1)]
+    for i, e in reversed(letters):
+        cols = _tau_power(n, i, e).cols
+        for k, (r, x) in enumerate(images):
+            (t, y), = cols[r].items()  # a root line: one entry or raise
+            images[k] = (t, x * y)
+    basis = basis_indices(n)
+    return tuple((basis[r].row, basis[r].col, x) for r, x in images)
 
 
 def test_rank_one_generator_action():
@@ -171,12 +196,26 @@ def test_group_and_algebra_reports_agree_instance_by_instance():
         words += [BraidWord(n, tuple((rng.randint(1, n), rng.choice((1, -1)))
                                      for _ in range(rng.randint(1, 8))))
                   for _ in range(10)]
+        fold, basis = word_fold(n), basis_indices(n)
         for w in words:
-            conj = conjugation_automorphism(evaluate_word(s, w), n)
+            conj = conjugation_automorphism(_dense_word(s, w), n)
             columns = _generator_columns(conj)
             assert all(len(col) == 1 for col in columns)
-            assert _generator_images(n, w.letters) == tuple(
-                next(iter(col.items())) for col in columns)
+            assert _adjoint_images(fold(w)) == tuple(
+                (basis[r].row, basis[r].col, x)
+                for col in columns for r, x in col.items())
+
+
+def test_read_off_images_match_the_operator_walk():
+    # the images read off the word's value at a = 1 against the images
+    # walked through the columns of tau_i and its inverse
+    rng = random.Random(29)
+    for n in range(1, 7):
+        fold = word_fold(n)
+        for _ in range(30):
+            w = BraidWord(n, tuple((rng.randint(1, n), rng.choice((1, -1)))
+                                   for _ in range(rng.randint(0, 12))))
+            assert _adjoint_images(fold(w)) == _walked_images(n, w.letters)
 
 
 def test_generator_matches_the_exp_ad_product():
@@ -285,8 +324,7 @@ def test_group_verdicts_match_the_dense_word_values(monkeypatch, mutate):
                         for r in verify_group_relations(s).relations}
             assert verdicts == {
                 (inst.tag, inst.i, inst.j):
-                    evaluate_word(s, inst.left).m
-                    == evaluate_word(s, inst.right).m
+                    _dense_word(s, inst.left).m == _dense_word(s, inst.right).m
                 for inst in table}
 
 
@@ -336,8 +374,8 @@ def test_algebra_passes_exactly_when_the_group_quotient_is_central():
         for n in range(1, 7):
             s = TitsSection.ones(n)
             for inst in map(mutate, relation_instances(n)):
-                algebra = (_generator_images(n, inst.left.letters)
-                           == _generator_images(n, inst.right.letters))
+                algebra = (_walked_images(n, inst.left.letters)
+                           == _walked_images(n, inst.right.letters))
                 # the quotient L R^{-1} is the value of the word L R^{-1}
                 right_inverse = tuple((i, -e) for i, e in
                                       reversed(inst.right.letters))
@@ -393,27 +431,29 @@ def test_verify_theorem1_rank_one_has_only_the_order_relation():
 
 
 def test_generator_slots_are_built_once_per_rank(monkeypatch):
-    # the starting images of e_k, f_k are the same for every word
-    import titslift.autos as autos
-    verify_theorem1(4)  # fills the per-rank caches
+    # the images are read off the word's value, so the algebra sweep
+    # never looks up a basis slot, nor builds an operator
+    import titslift.liealg as liealg
     calls = []
 
     def counted(n, idx):
         calls.append(idx)
         return slot(n, idx)
-    monkeypatch.setattr(autos, "slot", counted)
+    monkeypatch.setattr(liealg, "slot", counted)
+    _tau_power.cache_clear()
     assert verify_theorem1(4).all_pass
     assert calls == []
+    assert _tau_power.cache_info().currsize == 0
 
 
 def test_group_sweep_looks_each_lift_up_once(monkeypatch):
-    # one table of lifts per section, whatever the number of words
+    # one table of lifts per rank, whatever the number of words
     import titslift.tits as tits
     rng = random.Random(61)
     n = 6
     s = TitsSection(n, tuple(Fraction(rng.choice((-1, 1)) * rng.randint(2, 9),
                                       rng.randint(2, 9)) for _ in range(n)))
-    expected = verify_group_relations(s)  # fills the lift cache
+    expected = verify_group_relations(s)
     lift, calls = tits.monomial_lift, []
 
     def counted(s, i, e):

@@ -68,10 +68,12 @@ def test_light_subcommands_skip_the_algebra_layer(tmp_path, argv):
 
 
 def test_verify_loads_the_algebra_layer(tmp_path):
+    # the sweeps read the algebra verdicts off word values, so only the
+    # operator code in autos needs liealg
     code, modules = _loaded(tmp_path, ["verify", "--n", "2"])
     assert code == 0
-    assert {"titslift.autos", "titslift.liealg"} <= modules
-    assert "dataclasses" not in modules
+    assert "titslift.autos" in modules
+    assert not modules & {"titslift.liealg", "dataclasses"}
 
 
 def test_public_names_resolve_to_their_home_modules():

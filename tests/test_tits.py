@@ -9,12 +9,13 @@ import pytest
 from titslift.braid import BraidWord, natural_projection, parse_word
 from titslift.linalg import Matrix
 from titslift.roots import Permutation
-from titslift.tits import (GroupElement, MonomialDecomposition,
-                           NoExactWitness, NotInNormalizer, TitsSection,
-                           conjugation_witness, coset_class, evaluate_word,
-                           exp_construction, monomial_lift, monomial_word,
-                           normalizer_decompose, rational_nth_root,
-                           sigma_generator, torus_generation_witness)
+from titslift.tits import (_HALF, _MASK, _W, GroupElement,
+                           MonomialDecomposition, NoExactWitness,
+                           NotInNormalizer, TitsSection, conjugation_witness,
+                           coset_class, evaluate_word, exp_construction,
+                           monomial_lift, monomial_word, normalizer_decompose,
+                           rational_nth_root, sigma_generator,
+                           torus_generation_witness, value_at, word_fold)
 
 
 def random_section(rng, n):
@@ -163,21 +164,109 @@ def test_word_permutation_is_the_natural_projection():
 
 
 def test_monomial_word_validates_once_per_word(monkeypatch):
-    # a product of valid factors is valid, so only the word's value is
-    # built as a record, whatever the word's length
+    # a product of valid factors is valid, so besides the rank's table of
+    # lifts only the word's value is built as a record, whatever the
+    # word's length
     rng = random.Random(37)
     s = random_section(rng, 4)
-    w = BraidWord(4, tuple((rng.randint(1, 4), rng.choice((1, -1)))
-                           for _ in range(40)))
-    expected = monomial_word(s, w)  # warms the lift cache
+    words = [BraidWord(4, tuple((rng.randint(1, 4), rng.choice((1, -1)))
+                                for _ in range(length)))
+             for length in (0, 40, 400)]
+    expected = [monomial_word(s, w) for w in words]
     built = []
     for cls in (MonomialDecomposition, Permutation):
         def counted(self, post=cls.__post_init__):
             built.append(type(self).__name__)
             post(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    assert monomial_word(s, w) == expected
-    assert sorted(built) == ["MonomialDecomposition", "Permutation"]
+    word_fold(4)
+    table = built[:]
+    assert len(table) == 2 * 2 * 4  # a lift is one of each record
+    for w, value in zip(words, expected):
+        built.clear()
+        assert monomial_word(s, w) == value
+        assert sorted(built) == sorted(
+            table + ["MonomialDecomposition", "Permutation"])
+
+
+def _dense_product(s, w):
+    """The product of the dense lifts and their dense inverses."""
+    lifts = {}
+    out = Matrix.identity(s.n + 1)
+    for i, e in w.letters:
+        if (i, e) not in lifts:
+            g = sigma_generator(s, i).m
+            lifts[i, e] = g if e == 1 else g.inv()
+        out = out * lifts[i, e]
+    return out
+
+
+def _random_word(rng, n, longest):
+    return BraidWord(n, tuple((rng.randint(1, n), rng.choice((1, -1)))
+                              for _ in range(rng.randint(0, longest))))
+
+
+def _exponents(value):
+    """Each column's exponents of a_1..a_n in a generic value."""
+    return tuple(tuple((x >> _W * k & _MASK) - _HALF
+                       for k in range(2, len(value) + 1)) for x in value)
+
+
+def test_generic_value_at_random_sections_is_the_dense_product():
+    rng = random.Random(101)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        w = _random_word(rng, n, 40)
+        value = word_fold(n)(w)
+        for _ in range(2):
+            s = random_section(rng, n)
+            assert value_at(s, value).reconstruct().m == _dense_product(s, w)
+    # one long word: its count of minus signs outgrows a narrow field
+    w = BraidWord(3, tuple((rng.randint(1, 3), rng.choice((1, -1)))
+                           for _ in range(5000)))
+    s = random_section(rng, 3)
+    assert value_at(s, word_fold(3)(w)).reconstruct().m == _dense_product(s, w)
+
+
+def test_generic_exponents_are_a_function_of_the_permutation():
+    # so two generic values differ in the permutation or in a sign, and
+    # either difference survives every section
+    rng = random.Random(103)
+    for n, count in ((1, 100), (2, 400), (3, 400), (4, 400), (6, 2000)):
+        fold, seen = word_fold(n), {}
+        for _ in range(count):
+            value = fold(_random_word(rng, n, 40))
+            rows = tuple(x & _MASK for x in value)
+            assert seen.setdefault(rows, _exponents(value)) == \
+                _exponents(value)
+        assert len(seen) < count  # some permutations came up twice
+
+
+def test_generic_and_section_verdicts_agree():
+    # the sweeps compare generic values and fall back to the section only
+    # where they differ; that fallback never flips a verdict
+    rng = random.Random(107)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        fold, s = word_fold(n), random_section(rng, n)
+        u = _random_word(rng, n, 20)
+        cut, i = rng.randint(0, len(u)), rng.randint(1, n)
+        # S_i^4 = 1 holds generically, S_i^2 is a sign change
+        insert = ((i, rng.choice((1, -1))),) * rng.choice((2, 4))
+        v = BraidWord(n, u.letters[:cut] + insert + u.letters[cut:])
+        for x in (v, _random_word(rng, n, 20)):
+            generic = fold(u) == fold(x)
+            assert generic == (value_at(s, fold(u)) == value_at(s, fold(x)))
+            outcomes.add(generic)
+    assert outcomes == {True, False}
+
+
+def test_fold_rejects_words_of_another_rank():
+    with pytest.raises(ValueError, match="rank-2"):
+        word_fold(2)(BraidWord.from_ints(3, [3]))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        value_at(TitsSection.ones(2), word_fold(3)(BraidWord.empty(3)))
 
 
 def test_normalizer_decompose_diagonal_and_permutation():
