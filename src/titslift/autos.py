@@ -209,20 +209,21 @@ def _sweep(n: int, tag, at) -> RelationReport:
 
     tag maps the table's group-level tag to the report's.  Where the
     generic values differ, at specializes both, and their exact
-    comparison is the verdict; a failing check keeps the two.
+    comparison is the verdict; a failing check keeps the two.  A word
+    shared by several instances is folded for each: looking its value up
+    would cost about as much as the fold.
     """
     fold = word_fold(n)
     checks = []
     for inst in relation_instances(n):
         left, right = fold(inst.left), fold(inst.right)
-        passed = left == right
-        if not passed:
+        if left != right:
             left, right = at(left), at(right)
-            passed = left == right
-        checks.append(RelationCheck(
-            tag(inst.tag), inst.i, inst.j, passed,
-            left=None if passed else left,
-            right=None if passed else right))
+        passed = left == right
+        # every field by position: the record's fast path
+        checks.append(RelationCheck(tag(inst.tag), inst.i, inst.j, passed,
+                                    None if passed else left,
+                                    None if passed else right))
     return RelationReport(n, tuple(checks))
 
 

@@ -25,15 +25,20 @@ class BraidWord:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"rank must be at least 1, got {self.n}")
-        letters = tuple((i, e) for i, e in self.letters)
-        object.__setattr__(self, "letters", letters)
-        for i, e in letters:
+        letters = []
+        for x in self.letters:
+            try:
+                i, e = x
+            except (TypeError, ValueError):
+                raise ValueError(f"letter {x!r} must be two ints") from None
             if type(i) is not int or type(e) is not int:
                 raise ValueError(f"letter ({i!r}, {e!r}) must be two ints")
             if not 1 <= i <= self.n:
                 raise ValueError(f"generator index {i} out of range 1..{self.n}")
             if e not in (1, -1):
                 raise ValueError(f"exponent must be +1 or -1, got {e}")
+            letters.append((i, e))
+        object.__setattr__(self, "letters", tuple(letters))
 
     @classmethod
     def empty(cls, n: int) -> BraidWord:
@@ -132,11 +137,6 @@ class RelationInstance:
     right: BraidWord
 
 
-def _alternating(n: int, first: int, second: int, length: int) -> BraidWord:
-    signed = [first if k % 2 == 0 else second for k in range(length)]
-    return BraidWord.from_ints(n, signed)
-
-
 def relation_instances(n: int) -> list[RelationInstance]:
     """All relation templates for rank n, as pairs of braid words.
 
@@ -144,33 +144,36 @@ def relation_instances(n: int) -> list[RelationInstance]:
     (commuting squares), 2.11 (fourth power trivial) and 2.12 (square
     twisted by conjugation).  Families 2.9, 2.10 and 2.12 range over
     ordered pairs i != j; family 2.11 involves a single index and is
-    emitted once per i (so rank 1 still checks S_1^4).
+    emitted once per i (so rank 1 still checks S_1^4).  Instances share
+    their words: the 2.9 and 2.10 sides at (j, i) are those at (i, j)
+    swapped, and the right side of 2.12 is a 2.10 word or S_j^2.
     """
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
     cox = CoxeterMatrix(n)
-    out = []
-    for i in range(1, n + 1):
-        out.append(RelationInstance(
-            "2.11", i, i,
-            BraidWord.from_ints(n, [i] * 4), BraidWord.empty(n)))
+    alpha = {j: simple_root(n, j) for j in range(1, n + 1)}
+    words: dict[tuple[int, ...], BraidWord] = {}
+
+    def word(*signed: int) -> BraidWord:
+        if signed not in words:
+            words[signed] = BraidWord.from_ints(n, signed)
+        return words[signed]
+
+    out = [RelationInstance("2.11", i, i, word(i, i, i, i), word())
+           for i in range(1, n + 1)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
                 continue
             m = cox.m(i, j)
             out.append(RelationInstance(
-                "2.9", i, j,
-                _alternating(n, i, j, m), _alternating(n, j, i, m)))
+                "2.9", i, j, word(*(i, j, i)[:m]), word(*(j, i, j)[:m])))
             out.append(RelationInstance(
-                "2.10", i, j,
-                BraidWord.from_ints(n, [i, i, j, j]),
-                BraidWord.from_ints(n, [j, j, i, i])))
+                "2.10", i, j, word(i, i, j, j), word(j, j, i, i)))
             # exponent -2 * <alpha_j, h_i>: 2 for adjacent i, j, else 0
-            e = -2 * pairing(simple_root(n, j), i)
+            e = -2 * pairing(alpha[j], i)
             sign = 1 if e >= 0 else -1
             out.append(RelationInstance(
-                "2.12", i, j,
-                BraidWord.from_ints(n, [i, j, j, -i]),
-                BraidWord.from_ints(n, [j, j] + [sign * i] * abs(e))))
+                "2.12", i, j, word(i, j, j, -i),
+                word(j, j, *[sign * i] * abs(e))))
     return out

@@ -28,15 +28,19 @@ class NotNilpotentError(ValueError):
 def canonical(x: Scalar | str) -> Scalar:
     """Return x as an int when integral, else as a reduced Fraction.
 
-    Accepts ints, Fractions and canonical fraction strings like "-3/2".
+    Accepts ints, Fractions and canonical fraction strings like "-3/2";
+    floats and bools are rejected with ValueError.
 
     >>> canonical(Fraction(4, 2))
     2
     >>> canonical("5/10")
     Fraction(1, 2)
     """
-    if isinstance(x, int):
+    if type(x) is int:
         return x
+    if isinstance(x, (bool, float)):
+        raise ValueError(
+            f"scalar must be exact, not a float or bool, got {x!r}")
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return int(x) if x.denominator == 1 else x

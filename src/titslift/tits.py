@@ -110,10 +110,11 @@ def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
 
     Each column is one int of _W-bit fields: its row, its count of minus
     signs (kept mod 2), and the exponents of a_1..a_n offset by _HALF.  The
-    lifts S_i^{+-1} are read once, off monomial_lift at the section of the
-    first n primes, by factoring each scale +-prod p_k^{e_k} into fields.
-    Column j of x * S is column sigma_S(j) of x times S's j-th scale, and a
-    lift moves and scales two columns, so a letter adds two ints.
+    lifts S_i^{+-1} and the identity's columns are built once per rank; the
+    lifts are read off monomial_lift at the section of the first n primes,
+    by factoring each scale +-prod p_k^{e_k} into fields.  Column j of
+    x * S is column sigma_S(j) of x times S's j-th scale, and a lift moves
+    and scales two columns, so a letter adds two ints.
     """
     primes, p = [], 2
     while len(primes) < n:
@@ -122,13 +123,14 @@ def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
         p += 1
 
     def fields(x: Scalar) -> int:
-        out, x = (x < 0) << _W, abs(Fraction(x))
+        out, num, den = (x < 0) << _W, abs(x.numerator), x.denominator
         for k, p in enumerate(primes, start=2):
-            while x.numerator % p == 0 or x.denominator % p == 0:
-                e = 1 if x.numerator % p == 0 else -1
-                x, out = x / Fraction(p) ** e, out + (e << _W * k)
-        if x != 1:
-            raise ValueError(f"lift scale leaves the non-monomial factor {x}")
+            while num % p == 0:
+                num, out = num // p, out + (1 << _W * k)
+            while den % p == 0:
+                den, out = den // p, out - (1 << _W * k)
+        if num * den != 1:
+            raise ValueError(f"lift scale {x} is not a signed monomial")
         return out
 
     table = {}  # letter -> (j, k, sigma_S(j), sigma_S(k), S_j, S_k), 0-based
@@ -141,15 +143,17 @@ def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
         table[i, e] = (j, k, src[j], src[k],
                        fields(lift.scales[j]), fields(lift.scales[k]))
     one = sum(_HALF << _W * k for k in range(2, n + 2))
+    identity = list(range(one + 1, one + n + 2))
+    parity = ((1 << _W * (n + 2)) - 1) & _PARITY  # positive: a cheap &
 
     def fold(w: BraidWord) -> tuple[int, ...]:
         if w.n != n or len(w.letters) >= _HALF:
             raise ValueError(f"need a rank-{n} word under {_HALF} letters")
-        cols = list(range(one + 1, one + n + 2))
+        cols = identity.copy()
         for letter in w.letters:
             j, k, sj, sk, tj, tk = table[letter]
             cols[j], cols[k] = cols[sj] + tj, cols[sk] + tk
-        return tuple(x & _PARITY for x in cols)
+        return tuple([x & parity for x in cols])
     return fold
 
 

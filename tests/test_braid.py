@@ -34,9 +34,13 @@ def test_parse_rejects_bad_input():
 
 
 def test_word_rejects_letters_that_are_not_ints():
-    for letter in ((1.9, 1), ("2", 1), (True, 1), (1, 1.0), (2, True)):
+    for letter in ((1.9, 1), ("2", 1), (True, 1), (1, 1.0), (2, True), 1,
+                   (1, 1, 1)):
         with pytest.raises(ValueError, match="must be two ints"):
             BraidWord(2, (letter,))
+    # a flat pair of ints is two letters, neither of them a pair
+    with pytest.raises(ValueError, match="must be two ints"):
+        BraidWord(2, (1, 2))
     # lists are still taken as letters, stored as tuples
     assert BraidWord(2, ([2, -1],)).letters == ((2, -1),)
 
@@ -135,6 +139,18 @@ def test_twist_instance_exponents():
     far = insts[("2.12", 1, 3)]
     assert far.left == parse_word(3, "1 3 3 -1")
     assert far.right == parse_word(3, "3 3")
+
+
+def test_relation_instances_build_each_word_once():
+    for n in range(1, 13):
+        ids = {}
+        for inst in relation_instances(n):
+            for w in (inst.left, inst.right):
+                ids.setdefault(w.letters, set()).add(id(w))
+        assert all(len(objects) == 1 for objects in ids.values()), n
+    # S_i^4 and S_i^2, the empty word, and per ordered pair the left
+    # words of 2.9, 2.10 and 2.12
+    assert len(ids) == 2 * 12 + 1 + 3 * 12 * 11 == 421
 
 
 def test_projections_of_relation_instances_agree():

@@ -6,11 +6,16 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import titslift.autos as autos
+from titslift.braid import BraidWord, RelationInstance
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
+from titslift.tits import TitsSection
 
 
 def run(capsys, argv):
@@ -108,6 +113,58 @@ def test_verify_writes_report_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(path.read_text())
     assert payload["all_pass"] is True
+
+
+def _square_is_trivial(inst):
+    # S_i^2 = 1 in place of S_i^4 = 1
+    if inst.tag != "2.11":
+        return inst
+    return RelationInstance(inst.tag, inst.i, inst.j,
+                            BraidWord.from_ints(inst.left.n, [inst.i] * 2),
+                            inst.right)
+
+
+def _flip_last_exponent(inst):
+    # 2.12 with the left word's final S_i^{-1} changed to S_i
+    if inst.tag != "2.12":
+        return inst
+    letters = inst.left.letters[:-1] + ((inst.i, 1),)
+    return RelationInstance(inst.tag, inst.i, inst.j,
+                            BraidWord(inst.left.n, letters), inst.right)
+
+
+@pytest.mark.parametrize("mutate", [None, _square_is_trivial,
+                                    _flip_last_exponent])
+@pytest.mark.parametrize("level", ["adjoint", "group", "all"])
+def test_verify_report_text_is_the_indented_json(tmp_path, capsys,
+                                                 monkeypatch, level, mutate):
+    # verify writes its report without json; the text must stay what
+    # json.dumps(report_to_json(...), indent=2) gives, failures included
+    params = ["2/3", "-5", "7", "1/4"]
+    for n in (1, 2, 3, 4):
+        if mutate is not None:
+            table = [mutate(inst) for inst in autos.relation_instances(n)]
+            monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+        checks = ()
+        if level != "group":
+            checks += autos.verify_theorem1(n).relations
+        if level != "adjoint":
+            checks += autos.verify_group_relations(
+                TitsSection(n, tuple(Fraction(a) for a in params[:n]))
+            ).relations
+        report = autos.RelationReport(n, checks)
+        expected = json.dumps(autos.report_to_json(report), indent=2)
+        assert report.all_pass or mutate is not None
+        assert not report.all_pass or mutate is None or n < 2
+        argv = ["verify", "--n", str(n), "--level", level,
+                "--params=" + ",".join(params[:n])]
+        code, out, _ = run(capsys, argv)
+        assert (code, out) == (0 if report.all_pass else 1, expected + "\n")
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, argv + ["--json", str(path)])
+        assert (code, out) == (0 if report.all_pass else 1, "")
+        assert path.read_text() == expected + "\n"
+        monkeypatch.undo()
 
 
 def test_eval_word_pure_cancellation(capsys):

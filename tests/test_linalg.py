@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from titslift.linalg import (Matrix, NotNilpotentError, SingularMatrixError,
                              canonical, exp_nilpotent, matrix_from_json,
                              matrix_to_json, parse_scalar, scalar_to_str)
+from titslift.tits import TitsSection
 
 
 def test_canonical_collapses_integral_fractions():
@@ -19,6 +20,17 @@ def test_canonical_collapses_integral_fractions():
     assert canonical("-3/4") == Fraction(-3, 4)
     assert canonical("5") == 5
     assert canonical(7) == 7
+
+
+def test_canonical_rejects_floats_and_bools():
+    # a float would enter as its binary value: 0.1 as 3602879701896397/2^55
+    for x in (0.5, 0.1, 2.0, True, False):
+        with pytest.raises(ValueError, match="float or bool"):
+            canonical(x)
+    with pytest.raises(ValueError, match="float or bool"):
+        TitsSection(1, (0.1,))
+    with pytest.raises(ValueError, match="float or bool"):
+        Matrix([[True]])
 
 
 def test_scalar_to_str():

@@ -76,6 +76,19 @@ def test_verify_loads_the_algebra_layer(tmp_path):
     assert not modules & {"titslift.liealg", "dataclasses"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3"],
+    ["verify", "--n", "2", "--level", "group", "--params=2,-1/3",
+     "--json", "r.json"],
+], ids=["stdout", "json-file"])
+def test_verify_writes_its_report_without_json(tmp_path, argv):
+    # the report text is written directly; json's indented encoder is
+    # pure Python and would be paid for on every call
+    code, modules = _loaded(tmp_path, argv)
+    assert code == 0
+    assert "json" not in modules
+
+
 def test_public_names_resolve_to_their_home_modules():
     assert titslift.__all__ == sorted(titslift.__all__)
     for name in titslift.__all__:
