@@ -25,11 +25,14 @@ class NotNilpotentError(ValueError):
     """exp_nilpotent was handed a matrix with no vanishing power."""
 
 
+_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def canonical(x: Scalar | str) -> Scalar:
     """Return x as an int when integral, else as a reduced Fraction.
 
-    Accepts ints, Fractions and canonical fraction strings like "-3/2";
-    floats and bools are rejected with ValueError.
+    Accepts ints, Fractions and strings "p" or "p/q" like "-3/2"; floats,
+    bools and other strings ("1.5", "+3") are rejected with ValueError.
 
     >>> canonical(Fraction(4, 2))
     2
@@ -41,12 +44,11 @@ def canonical(x: Scalar | str) -> Scalar:
     if isinstance(x, (bool, float)):
         raise ValueError(
             f"scalar must be exact, not a float or bool, got {x!r}")
+    if isinstance(x, str) and not _SCALAR_TEXT.fullmatch(x):
+        raise ValueError(f'scalar string must be "p" or "p/q", got {x!r}')
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return int(x) if x.denominator == 1 else x
-
-
-_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_scalar(x: object) -> Scalar:

@@ -102,57 +102,35 @@ def exp_construction(n: int, i: int) -> GroupElement:
 
 
 _W = 32  # bits per field of a column of a generic value; see word_fold
-_MASK, _HALF, _PARITY = (1 << _W) - 1, 1 << _W - 1, ~((1 << _W) - 2 << _W)
+_MASK, _HALF = (1 << _W) - 1, 1 << _W - 1
 
 
 def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
     """The map taking a rank-n braid word to its generic value.
 
     Each column is one int of _W-bit fields: its row, its count of minus
-    signs (kept mod 2), and the exponents of a_1..a_n offset by _HALF.  The
-    lifts S_i^{+-1} and the identity's columns are built once per rank; the
-    lifts are read off monomial_lift at the section of the first n primes,
-    by factoring each scale +-prod p_k^{e_k} into fields.  Column j of
-    x * S is column sigma_S(j) of x times S's j-th scale, and a lift moves
-    and scales two columns, so a letter adds two ints.
+    signs (kept mod 2), and the exponents of a_1..a_n offset by _HALF.
+    Its table is where the lift is written down: S_i^e swaps the 0-based
+    columns i-1 and i, and scales them by -e/a_i and e*a_i.  Column j of
+    x * S is column sigma_S(j) of x times S's j-th scale, so a letter
+    adds two ints.
     """
-    primes, p = [], 2
-    while len(primes) < n:
-        if all(p % q for q in primes):
-            primes.append(p)
-        p += 1
-
-    def fields(x: Scalar) -> int:
-        out, num, den = (x < 0) << _W, abs(x.numerator), x.denominator
-        for k, p in enumerate(primes, start=2):
-            while num % p == 0:
-                num, out = num // p, out + (1 << _W * k)
-            while den % p == 0:
-                den, out = den // p, out - (1 << _W * k)
-        if num * den != 1:
-            raise ValueError(f"lift scale {x} is not a signed monomial")
-        return out
-
-    table = {}  # letter -> (j, k, sigma_S(j), sigma_S(k), S_j, S_k), 0-based
-    s = TitsSection(n, tuple(primes))
-    for i, e in ((i, e) for i in range(1, n + 1) for e in (1, -1)):
-        lift = monomial_lift(s, i, e)
-        src = [c - 1 for c in lift.sigma.images]
-        # a lift touching another number of columns raises here
-        j, k = (c for c in range(n + 1) if src[c] != c or lift.scales[c] != 1)
-        table[i, e] = (j, k, src[j], src[k],
-                       fields(lift.scales[j]), fields(lift.scales[k]))
+    table = {}  # letter -> (j, k, fields of S_j, fields of S_k), 0-based
+    for i in range(1, n + 1):
+        a = 1 << _W * (i + 1)  # exponent +1 on a_i
+        for e in (1, -1):
+            table[i, e] = i - 1, i, ((e > 0) << _W) - a, ((e < 0) << _W) + a
     one = sum(_HALF << _W * k for k in range(2, n + 2))
     identity = list(range(one + 1, one + n + 2))
-    parity = ((1 << _W * (n + 2)) - 1) & _PARITY  # positive: a cheap &
+    parity = (1 << _W * (n + 2)) - 1 - ((_MASK - 1) << _W)  # signs mod 2
 
     def fold(w: BraidWord) -> tuple[int, ...]:
         if w.n != n or len(w.letters) >= _HALF:
             raise ValueError(f"need a rank-{n} word under {_HALF} letters")
         cols = identity.copy()
         for letter in w.letters:
-            j, k, sj, sk, tj, tk = table[letter]
-            cols[j], cols[k] = cols[sj] + tj, cols[sk] + tk
+            j, k, tj, tk = table[letter]
+            cols[j], cols[k] = cols[k] + tj, cols[j] + tk
         return tuple([x & parity for x in cols])
     return fold
 
@@ -213,21 +191,13 @@ class MonomialDecomposition:
 
 
 def monomial_lift(s: TitsSection, i: int, e: int) -> MonomialDecomposition:
-    """S_i^e for the section s, where e is +1 or -1.
+    """S_i^e at the section s, for e = +1 or -1: the one-letter word's
+    value, so the shape is written once, in word_fold's table.
 
-    S_i swaps slots i and i+1, with -1/a_i in column i and a_i in column
-    i+1; S_i^-1 is the lift at -a_i.  Every other form of the lift,
-    generic, dense or adjoint, is read off this.
+    >>> monomial_lift(TitsSection(2, (Fraction(2, 3), 5)), 1, 1).scales
+    (Fraction(-3, 2), Fraction(2, 3), 1)
     """
-    if not 1 <= i <= s.n:
-        raise ValueError(f"generator index {i} out of range 1..{s.n}")
-    if e not in (1, -1):
-        raise ValueError(f"exponent must be +1 or -1, got {e}")
-    a = s.params[i - 1] * e
-    scales = [1] * (s.n + 1)
-    scales[i - 1], scales[i] = Fraction(-1) / a, a
-    return MonomialDecomposition(
-        Permutation.transposition(s.n + 1, i, i + 1), tuple(scales))
+    return value_at(s, word_fold(s.n)(BraidWord(s.n, ((i, e),))))
 
 
 def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:

@@ -447,23 +447,18 @@ def test_generator_slots_are_built_once_per_rank(monkeypatch):
 
 
 def test_group_sweep_looks_each_lift_up_once(monkeypatch):
-    # one table of lifts per rank, whatever the number of words
+    # one table of lifts per rank, whatever the number of words, written
+    # in the fold itself: the sweep never asks monomial_lift
     import titslift.tits as tits
     rng = random.Random(61)
     n = 6
     s = TitsSection(n, tuple(Fraction(rng.choice((-1, 1)) * rng.randint(2, 9),
                                       rng.randint(2, 9)) for _ in range(n)))
-    expected = verify_group_relations(s)
-    lift, calls = tits.monomial_lift, []
-
-    def counted(s, i, e):
-        calls.append((i, e))
-        return lift(s, i, e)
-    monkeypatch.setattr(tits, "monomial_lift", counted)
-    assert verify_group_relations(s) == expected
-    assert expected.all_pass
-    assert len(calls) <= 2 * n
-    assert len(relation_instances(n)) > 2 * n
+    calls = []
+    monkeypatch.setattr(tits, "monomial_lift",
+                        lambda *args: calls.append(args))
+    assert verify_group_relations(s).all_pass
+    assert calls == []
 
 
 def test_verify_group_relations():

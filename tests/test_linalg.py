@@ -33,6 +33,18 @@ def test_canonical_rejects_floats_and_bools():
         Matrix([[True]])
 
 
+def test_canonical_takes_only_fraction_strings():
+    # the grammar parse_scalar and the JSON format use; Fraction alone
+    # would also read decimals, exponents, spaces, signs and underscores
+    assert canonical("-3/2") == Fraction(-3, 2)
+    assert canonical("5/10") == Fraction(1, 2)
+    for x in ("1.5", "1e3", " 2", "+3", "1_000", "", "2/", "1/-2"):
+        with pytest.raises(ValueError, match='"p" or "p/q"'):
+            canonical(x)
+    with pytest.raises(ValueError, match='"p" or "p/q"'):
+        TitsSection(1, ("2.5",))
+
+
 def test_scalar_to_str():
     assert scalar_to_str(3) == "3"
     assert scalar_to_str(Fraction(-1, 2)) == "-1/2"

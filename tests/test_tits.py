@@ -58,6 +58,16 @@ def test_section_validation():
     assert TitsSection.ones(3).params == (1, 1, 1)
 
 
+def _block(s, i):
+    """The i-th lift of s written out: the identity outside slots i, i+1,
+    where it is the block (0, a_i; -1/a_i, 0)."""
+    a = Fraction(s.params[i - 1])
+    rows = [[int(r == c) for c in range(s.n + 1)] for r in range(s.n + 1)]
+    rows[i - 1][i - 1:i + 1] = 0, a
+    rows[i][i - 1:i + 1] = -1 / a, 0
+    return Matrix(rows)
+
+
 def test_sigma_block_shape():
     s = TitsSection(2, (Fraction(2, 3), 5))
     g = sigma_generator(s, 1)
@@ -72,6 +82,17 @@ def test_sigma_block_shape():
         [0, Fraction(-1, 5), 0]])
     with pytest.raises(ValueError):
         sigma_generator(s, 3)
+    # both exponents at random sections, against the block and its
+    # dense inverse; the fold and sigma_generator read one table
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for _ in range(3):
+            s = random_section(rng, n)
+            for i in range(1, n + 1):
+                block = _block(s, i)
+                assert sigma_generator(s, i).m == block
+                assert monomial_lift(s, i, 1).reconstruct().m == block
+                assert monomial_lift(s, i, -1).reconstruct().m == block.inv()
 
 
 def test_sigma_square_and_fourth_power():
@@ -164,9 +185,9 @@ def test_word_permutation_is_the_natural_projection():
 
 
 def test_monomial_word_validates_once_per_word(monkeypatch):
-    # a product of valid factors is valid, so besides the rank's table of
-    # lifts only the word's value is built as a record, whatever the
-    # word's length
+    # a product of valid factors is valid, so only the word's value is
+    # built as a record, whatever the word's length; the rank's table of
+    # lifts is plain ints
     rng = random.Random(37)
     s = random_section(rng, 4)
     words = [BraidWord(4, tuple((rng.randint(1, 4), rng.choice((1, -1)))
@@ -180,13 +201,11 @@ def test_monomial_word_validates_once_per_word(monkeypatch):
             post(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
     word_fold(4)
-    table = built[:]
-    assert len(table) == 2 * 2 * 4  # a lift is one of each record
+    assert built == []
     for w, value in zip(words, expected):
         built.clear()
         assert monomial_word(s, w) == value
-        assert sorted(built) == sorted(
-            table + ["MonomialDecomposition", "Permutation"])
+        assert sorted(built) == ["MonomialDecomposition", "Permutation"]
 
 
 def _dense_product(s, w):
