@@ -8,15 +8,15 @@ permutation and scales, as sparse columns.  The dense exp(ad) product
 stays available through ``liealg.ad_matrix`` and ``linalg.exp_nilpotent``
 as an independent check.  Only this operator code loads ``liealg``.
 
-Neither relation sweep builds an operator.  Both fold each word once into
-its generic value (``tits.word_fold``), whose scales are signs times
-Laurent monomials in a_1..a_n, and equal generic values are equal at every
-section.  Where the two values of an instance differ, the group level
-evaluates both at its section, and the algebra level reads the images of
-e_1..e_n, f_1..f_n, which generate the algebra, off the value g at a = 1:
-Ad(g) sends e_k to s_k s_{k+1} E_{sigma(k), sigma(k+1)} and f_k to the
-transposed unit with the same coefficient.  Either comparison is exact and
-is the verdict.
+The relation sweep builds no operator.  It folds each word once into its
+value at a = 1, a signed permutation (``tits.word_fold``).  Every
+section's lifts are one torus conjugate of those at a = 1, so the group
+verdict is L = R there.  Ad(L) = Ad(R) exactly when L R^-1 is central, and
+the only central signed permutations are +-I, so the algebra verdict is
+L = +-R.  A failing check keeps the two sides: their values at the section
+for the group, and for the algebra the images of e_1..e_n, f_1..f_n, which
+generate it: Ad(g) sends e_k to s_k s_{k+1} E_{sigma(k), sigma(k+1)} and
+f_k to the transposed unit with the same coefficient.
 """
 
 from __future__ import annotations
@@ -197,49 +197,48 @@ _ADJOINT_TAG = {"2.9": "0.2", "2.10": "0.4", "2.11": "0.5", "2.12": "0.6"}
 def _adjoint_images(value: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """e_1..e_n, then f_1..f_n, under Ad of the value at a = 1, each a
     matrix unit E_{row, column} times a coefficient, as a triple."""
-    g = value_at(TitsSection.ones(len(value) - 1), value)
-    rows, signs = g.sigma.images, g.scales
-    e = [(rows[k], rows[k + 1], signs[k] * signs[k + 1])
-         for k in range(len(rows) - 1)]
-    return tuple(e + [(col, row, x) for row, col, x in e])
+    e = [(abs(x), abs(y), 1 if x * y > 0 else -1)
+         for x, y in zip(value, value[1:])]
+    return tuple(e + [(col, row, c) for row, col, c in e])
 
 
-def _sweep(n: int, tag, at) -> RelationReport:
-    """Fold both words of every relation instance and compare them.
+def verify(s: TitsSection, level: str) -> RelationReport:
+    """Check every defining relation for rank s.n at one level: "group"
+    for the lifts of the section s, "adjoint" for the automorphisms they
+    induce (which do not depend on s), or "all" for both.
 
-    tag maps the table's group-level tag to the report's.  Where the
-    generic values differ, at specializes both, and their exact
-    comparison is the verdict; a failing check keeps the two.  A word
-    shared by several instances is folded for each: looking its value up
-    would cost about as much as the fold.
+    Each word of relation_instances(s.n) is folded once, and both levels
+    read their verdict off the two values at a = 1.  A word shared by
+    several instances is folded for each: looking its value up would cost
+    about as much as the fold.
     """
-    fold = word_fold(n)
-    checks = []
-    for inst in relation_instances(n):
+    if level not in ("group", "adjoint", "all"):
+        raise ValueError(f"unknown level {level!r}")
+    group, adjoint = level != "adjoint", level != "group"
+    fold, checks = word_fold(s.n), []
+    for inst in relation_instances(s.n):
         left, right = fold(inst.left), fold(inst.right)
-        if left != right:
-            left, right = at(left), at(right)
-        passed = left == right
+        same = left == right
         # every field by position: the record's fast path
-        checks.append(RelationCheck(tag(inst.tag), inst.i, inst.j, passed,
-                                    None if passed else left,
-                                    None if passed else right))
-    return RelationReport(n, tuple(checks))
+        if group:
+            checks.append(RelationCheck(
+                inst.tag, inst.i, inst.j, same,
+                None if same else value_at(s, left),
+                None if same else value_at(s, right)))
+        if adjoint:
+            passed = same or left == tuple([-x for x in right])
+            checks.append(RelationCheck(
+                _ADJOINT_TAG[inst.tag], inst.i, inst.j, passed,
+                None if passed else _adjoint_images(left),
+                None if passed else _adjoint_images(right)))
+    return RelationReport(s.n, tuple(checks))
 
 
 def verify_theorem1(n: int) -> RelationReport:
-    """Check every defining relation at the algebra level for rank n.
-
-    The report tags are the algebra-level ones; each word is valued by
-    the images of the generators e_1..e_n, f_1..f_n.
-    """
-    return _sweep(n, _ADJOINT_TAG.__getitem__, _adjoint_images)
+    """Check every defining relation at the algebra level for rank n."""
+    return verify(TitsSection.ones(n), "adjoint")
 
 
 def verify_group_relations(s: TitsSection) -> RelationReport:
-    """Check every defining relation for the lifts of one section.
-
-    Where two generic values differ, both are evaluated at s and
-    compared as (permutation, scales) pairs.
-    """
-    return _sweep(s.n, str, lambda value: value_at(s, value))
+    """Check every defining relation for the lifts of one section."""
+    return verify(s, "group")

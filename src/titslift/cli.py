@@ -54,8 +54,7 @@ _BOOL = ("false", "true")
 
 def cmd_verify(args: argparse.Namespace) -> int:
     # the algebra layer is loaded here, so the other subcommands skip it
-    from .autos import (RelationReport, verify_group_relations,
-                        verify_theorem1)
+    from .autos import verify
 
     if args.n < 1:
         print(f"error: rank must be at least 1, got {args.n}",
@@ -69,12 +68,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: bad --params: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    checks = ()
-    if args.level in ("adjoint", "all"):
-        checks += verify_theorem1(args.n).relations
-    if args.level in ("group", "all"):
-        checks += verify_group_relations(section).relations
-    report = RelationReport(args.n, checks)
+    report = verify(section, args.level)
 
     # json.dumps(report_to_json(report), indent=2) written directly, as
     # json's indented encoder is pure Python: verify never loads json

@@ -8,9 +8,10 @@ identity outside rows and columns {i, i+1} with the block
     ( -1/a_i    0  )
 
 which has determinant one and squares to the diagonal matrix with -1 at
-slots i and i+1.  A word's generic value is a monomial matrix with scales
-in Z[a_1^{+-1}..a_n^{+-1}], valid at every section.  All is exact over
-the rationals; a root the rationals lack is reported, not approximated.
+slots i and i+1.  A word is folded once, at a = 1, into a signed
+permutation; every section's value is a torus conjugate of it.  All is
+exact over the rationals; a root the rationals lack is reported, not
+approximated.
 """
 
 from __future__ import annotations
@@ -101,58 +102,49 @@ def exp_construction(n: int, i: int) -> GroupElement:
     return GroupElement(exp_nilpotent(e) * exp_nilpotent(-f) * exp_nilpotent(e))
 
 
-_W = 32  # bits per field of a column of a generic value; see word_fold
-_MASK, _HALF = (1 << _W) - 1, 1 << _W - 1
-
-
 def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
-    """The map taking a rank-n braid word to its generic value.
+    """The map taking a rank-n braid word to its value at a = 1.
 
-    Each column is one int of _W-bit fields: its row, its count of minus
-    signs (kept mod 2), and the exponents of a_1..a_n offset by _HALF.
-    Its table is where the lift is written down: S_i^e swaps the 0-based
-    columns i-1 and i, and scales them by -e/a_i and e*a_i.  Column j of
-    x * S is column sigma_S(j) of x times S's j-th scale, so a letter
-    adds two ints.
+    The value is a signed permutation matrix, kept as one int per column:
+    +-(1-based row of its nonzero entry).  The letter step is where the
+    lift is written down: S_i^e swaps the 0-based columns j = i-1 and
+    k = i and signs them -e and e.  Column j of x * S is column sigma_S(j)
+    of x times S's j-th scale, so a letter moves two ints.
     """
-    table = {}  # letter -> (j, k, fields of S_j, fields of S_k), 0-based
-    for i in range(1, n + 1):
-        a = 1 << _W * (i + 1)  # exponent +1 on a_i
-        for e in (1, -1):
-            table[i, e] = i - 1, i, ((e > 0) << _W) - a, ((e < 0) << _W) + a
-    one = sum(_HALF << _W * k for k in range(2, n + 2))
-    identity = list(range(one + 1, one + n + 2))
-    parity = (1 << _W * (n + 2)) - 1 - ((_MASK - 1) << _W)  # signs mod 2
+    identity = list(range(1, n + 2))
 
     def fold(w: BraidWord) -> tuple[int, ...]:
-        if w.n != n or len(w.letters) >= _HALF:
-            raise ValueError(f"need a rank-{n} word under {_HALF} letters")
+        if w.n != n:
+            raise ValueError(f"need a rank-{n} word, got rank {w.n}")
         cols = identity.copy()
-        for letter in w.letters:
-            j, k, tj, tk = table[letter]
-            cols[j], cols[k] = cols[k] + tj, cols[j] + tk
-        return tuple([x & parity for x in cols])
+        for i, e in w.letters:
+            cols[i - 1], cols[i] = -e * cols[i], e * cols[i - 1]
+        return tuple(cols)
     return fold
 
 
 def value_at(s: TitsSection, value: tuple[int, ...]) -> MonomialDecomposition:
-    """A generic value at the section s, validated once.  Evaluation at s
-    is a ring map Z[a^{+-1}] -> Q, so words with one generic value agree."""
+    """A value at a = 1 moved to the section s, validated once.
+
+    With t_k = a_k a_{k+1} ... a_n (t_{n+1} = 1), diag(t) S_i(1) diag(t)^-1
+    is S_i(a), so every word has S_w(a) = diag(t) S_w(1) diag(t)^-1 (Tits):
+    column j keeps its row sigma(j) and gets the scale
+    eps_j t_{sigma(j)} / t_j.  Conjugation is a bijection, so two words
+    agree at a section exactly when they agree at a = 1.
+    """
     if len(value) != s.n + 1:
         raise ValueError(f"rank mismatch: section {s.n} vs {len(value) - 1}")
-    scales = []
-    for x in value:
-        scales.append(Fraction(-1 if x >> _W & 1 else 1))
-        for k, a in enumerate(s.params, start=2):
-            if e := (x >> _W * k & _MASK) - _HALF:
-                scales[-1] *= Fraction(a) ** e
-    return MonomialDecomposition(
-        Permutation(tuple(x & _MASK for x in value)), tuple(scales))
+    t = [Fraction(1)] * (s.n + 1)  # 0-based: t[k] = a_{k+1} ... a_n
+    for k in reversed(range(s.n)):
+        t[k] = s.params[k] * t[k + 1]
+    return MonomialDecomposition(Permutation(tuple(map(abs, value))), tuple(
+        (1 if x > 0 else -1) * t[abs(x) - 1] / t[j]
+        for j, x in enumerate(value)))
 
 
 def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
-    """Evaluate a braid word as a product of section lifts: its generic
-    value at s.  To value many words, build word_fold(n) once."""
+    """Evaluate a braid word as a product of section lifts: its value at
+    a = 1, moved to s.  To value many words, build word_fold(n) once."""
     return value_at(s, word_fold(s.n)(w))
 
 
@@ -192,7 +184,7 @@ class MonomialDecomposition:
 
 def monomial_lift(s: TitsSection, i: int, e: int) -> MonomialDecomposition:
     """S_i^e at the section s, for e = +1 or -1: the one-letter word's
-    value, so the shape is written once, in word_fold's table.
+    value, so the shape is written once, in word_fold's letter step.
 
     >>> monomial_lift(TitsSection(2, (Fraction(2, 3), 5)), 1, 1).scales
     (Fraction(-3, 2), Fraction(2, 3), 1)

@@ -10,7 +10,7 @@ from titslift.autos import (AlgebraAutomorphism, RelationCheck,
                             RelationReport, _adjoint_images, _combine,
                             _tau_power, conjugation_automorphism,
                             report_from_json, report_to_json, tau_generator,
-                            verify_group_relations, verify_theorem1)
+                            verify, verify_group_relations, verify_theorem1)
 from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
                              basis_indices, bracket, decompose_by_cartan,
@@ -386,6 +386,46 @@ def test_algebra_passes_exactly_when_the_group_quotient_is_central():
                 if algebra and set(q.scales) != {1}:  # a scalar q != 1: L != R
                     only_algebra.add((mutate, n, inst.tag, inst.i))
     assert only_algebra == {(_square_is_trivial, 1, "2.11", 1)}
+
+
+def test_algebra_verdict_is_l_equals_plus_or_minus_r(monkeypatch):
+    # the rule L = +-R at a = 1 against the operator walk, on random word
+    # pairs; at odd n, -I = S_1^2 S_3^2 ... S_n^2 gives pairs that only the
+    # algebra level accepts
+    import titslift.autos as autos
+    rng = random.Random(131)
+    seen = set()
+    for n in range(1, 7):
+        def word(length):
+            return tuple((rng.randint(1, n), rng.choice((1, -1)))
+                         for _ in range(length))
+        minus_one = tuple((k, 1) for k in range(1, n + 1, 2) for _ in "ab")
+        table = []
+        for k in range(40):
+            u, cut = word(rng.randint(0, 12)), rng.randint(0, 12)
+            i = rng.randint(1, n)
+            other = (word(rng.randint(0, 12)),
+                     u[:cut] + ((i, rng.choice((1, -1))),) * 2 + u[cut:],
+                     u[:cut] + ((i, 1),) * 4 + u[cut:],
+                     u[:cut] + minus_one + u[cut:])[k % 4]
+            table.append(RelationInstance("2.9", k, k, BraidWord(n, u),
+                                          BraidWord(n, other)))
+        monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+        s = TitsSection(n, tuple(Fraction(rng.choice((-3, -1, 2, 5)),
+                                          rng.randint(1, 4))
+                                 for _ in range(n)))
+        report = verify(s, "all")
+        adjoint = {r.i: r.passed for r in report.relations if r.tag == "0.2"}
+        group = {r.i: r.passed for r in report.relations if r.tag == "2.9"}
+        for inst in table:
+            walked = (_walked_images(n, inst.left.letters)
+                      == _walked_images(n, inst.right.letters))
+            assert adjoint[inst.i] == walked, (n, inst)
+            assert group[inst.i] == (_dense_word(s, inst.left).m
+                                     == _dense_word(s, inst.right).m)
+            seen.add((n % 2, walked, group[inst.i]))
+    assert seen == {(p, a, g) for p in (0, 1) for a, g in
+                    ((True, True), (False, False))} | {(1, True, False)}
 
 
 def test_conjugation_is_a_homomorphism():

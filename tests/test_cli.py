@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import titslift.autos as autos
-from titslift.braid import BraidWord, RelationInstance
+from titslift.braid import (BraidWord, RelationInstance,
+                            relation_instances)
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
 from titslift.tits import TitsSection
@@ -439,3 +440,33 @@ def test_verify_under_python_optimize_flag():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_pass"] is True
+    # and a failing relation is still reported: S_i^2 = 1 for S_i^4 = 1
+    mutated = """
+import sys
+import titslift.autos as autos
+from titslift.braid import BraidWord, RelationInstance
+from titslift.cli import main
+table = [inst if inst.tag != "2.11" else RelationInstance(
+             inst.tag, inst.i, inst.j, BraidWord.from_ints(2, [inst.i] * 2),
+             inst.right)
+         for inst in autos.relation_instances(2)]
+autos.relation_instances = lambda k: table
+sys.exit(main(["verify", "--n", "2", "--level", "all"]))
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", mutated], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert '"all_pass": false' in proc.stdout
+
+
+def test_verify_at_every_level_reads_the_relation_table_once(monkeypatch,
+                                                             capsys):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return relation_instances(n)
+    monkeypatch.setattr(autos, "relation_instances", counted)
+    code, out, _ = run(capsys, ["verify", "--n", "5"])
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert calls == [5]

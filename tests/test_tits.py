@@ -3,19 +3,20 @@ decomposition, coset bookkeeping, and the two witness constructions."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from titslift.braid import BraidWord, natural_projection, parse_word
 from titslift.linalg import Matrix
 from titslift.roots import Permutation
-from titslift.tits import (_HALF, _MASK, _W, GroupElement,
-                           MonomialDecomposition, NoExactWitness,
-                           NotInNormalizer, TitsSection, conjugation_witness,
-                           coset_class, evaluate_word, exp_construction,
-                           monomial_lift, monomial_word, normalizer_decompose,
-                           rational_nth_root, sigma_generator,
-                           torus_generation_witness, value_at, word_fold)
+from titslift.tits import (GroupElement, MonomialDecomposition,
+                           NoExactWitness, NotInNormalizer, TitsSection,
+                           conjugation_witness, coset_class, evaluate_word,
+                           exp_construction, monomial_lift, monomial_word,
+                           normalizer_decompose, rational_nth_root,
+                           sigma_generator, torus_generation_witness,
+                           value_at, word_fold)
 
 
 def random_section(rng, n):
@@ -225,12 +226,6 @@ def _random_word(rng, n, longest):
                               for _ in range(rng.randint(0, longest))))
 
 
-def _exponents(value):
-    """Each column's exponents of a_1..a_n in a generic value."""
-    return tuple(tuple((x >> _W * k & _MASK) - _HALF
-                       for k in range(2, len(value) + 1)) for x in value)
-
-
 def test_generic_value_at_random_sections_is_the_dense_product():
     rng = random.Random(101)
     for _ in range(40):
@@ -240,30 +235,38 @@ def test_generic_value_at_random_sections_is_the_dense_product():
         for _ in range(2):
             s = random_section(rng, n)
             assert value_at(s, value).reconstruct().m == _dense_product(s, w)
-    # one long word: its count of minus signs outgrows a narrow field
+    # one long word, whose value at a = 1 has been negated thousands of
+    # times on its way
     w = BraidWord(3, tuple((rng.randint(1, 3), rng.choice((1, -1)))
                            for _ in range(5000)))
     s = random_section(rng, 3)
     assert value_at(s, word_fold(3)(w)).reconstruct().m == _dense_product(s, w)
 
 
-def test_generic_exponents_are_a_function_of_the_permutation():
-    # so two generic values differ in the permutation or in a sign, and
-    # either difference survives every section
+def test_value_at_a_section_is_the_torus_conjugate_of_the_value_at_one():
+    # with t_k = a_k ... a_n, S_w(a) = diag(t) S_w(1) diag(t)^-1, so column
+    # j of the value at s is eps_j t_{sigma(j)} / t_j in row sigma(j)
     rng = random.Random(103)
-    for n, count in ((1, 100), (2, 400), (3, 400), (4, 400), (6, 2000)):
-        fold, seen = word_fold(n), {}
-        for _ in range(count):
-            value = fold(_random_word(rng, n, 40))
-            rows = tuple(x & _MASK for x in value)
-            assert seen.setdefault(rows, _exponents(value)) == \
-                _exponents(value)
-        assert len(seen) < count  # some permutations came up twice
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        value = word_fold(n)(_random_word(rng, n, 40))
+        s = random_section(rng, n)
+        t = [Fraction(1)] * (n + 1)
+        for k in reversed(range(n)):
+            t[k] = s.params[k] * t[k + 1]
+        d = Matrix.diagonal(t)
+        at_one = value_at(TitsSection.ones(n), value).reconstruct().m
+        at_s = value_at(s, value)
+        assert at_s.reconstruct().m == d * at_one * d.inv()
+        for j, x in enumerate(value):
+            row, sign = abs(x), (1 if x > 0 else -1)
+            assert at_s.sigma(j + 1) == row
+            assert at_s.scales[j] == sign * t[row - 1] / t[j]
 
 
 def test_generic_and_section_verdicts_agree():
-    # the sweeps compare generic values and fall back to the section only
-    # where they differ; that fallback never flips a verdict
+    # the verdict at s is the verdict at a = 1: two words have equal values
+    # at a section exactly when their folds are equal
     rng = random.Random(107)
     outcomes = set()
     for _ in range(200):
@@ -271,14 +274,44 @@ def test_generic_and_section_verdicts_agree():
         fold, s = word_fold(n), random_section(rng, n)
         u = _random_word(rng, n, 20)
         cut, i = rng.randint(0, len(u)), rng.randint(1, n)
-        # S_i^4 = 1 holds generically, S_i^2 is a sign change
+        # S_i^4 = 1 holds at every section, S_i^2 is a sign change
         insert = ((i, rng.choice((1, -1))),) * rng.choice((2, 4))
         v = BraidWord(n, u.letters[:cut] + insert + u.letters[cut:])
         for x in (v, _random_word(rng, n, 20)):
-            generic = fold(u) == fold(x)
-            assert generic == (value_at(s, fold(u)) == value_at(s, fold(x)))
-            outcomes.add(generic)
+            at_one = fold(u) == fold(x)
+            assert at_one == (value_at(s, fold(u)) == value_at(s, fold(x)))
+            outcomes.add(at_one)
     assert outcomes == {True, False}
+
+
+def _fold_closure(n):
+    """Every fold value at rank n, reached breadth first by extending
+    words one letter at a time and folding each new word."""
+    fold, letters = word_fold(n), [(i, e) for i in range(1, n + 1)
+                                   for e in (1, -1)]
+    seen, frontier = {fold(BraidWord.empty(n))}, [()]
+    while frontier:
+        longer = []
+        for word in frontier:
+            for letter in letters:
+                value = fold(BraidWord(n, word + (letter,)))
+                if value not in seen:
+                    seen.add(value)
+                    longer.append(word + (letter,))
+        frontier = longer
+    return seen
+
+
+def test_fold_values_are_the_extended_weyl_group():
+    # the lifts at a = 1 generate the signed permutation matrices of
+    # determinant one, sign(sigma) * prod eps_j = 1: 2^n (n+1)! of them
+    for n in range(1, 5):
+        values = _fold_closure(n)
+        assert len(values) == 2 ** n * factorial(n + 1)
+        for value in values:
+            sigma = Permutation(tuple(abs(x) for x in value))
+            signs = sum(x < 0 for x in value)
+            assert sigma.sign() * (-1) ** signs == 1
 
 
 def test_fold_rejects_words_of_another_rank():
