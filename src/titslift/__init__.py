@@ -22,15 +22,15 @@ _EXPORTS = {
     "braid": (
         "BraidWord", "CoxeterMatrix", "RelationInstance", "is_pure",
         "natural_projection", "parse_word", "relation_instances",
-        "word_to_text"),
+        "relation_words", "word_to_text"),
     "liealg": (
         "Cartan", "LieElement", "OffDiagonal", "ad_matrix", "basis_indices",
         "basis_matrix", "bracket", "decompose_by_cartan", "dimension",
         "generator"),
     "linalg": (
-        "Matrix", "NotNilpotentError", "SingularMatrixError", "canonical",
-        "exp_nilpotent", "matrix_from_json", "matrix_to_json",
-        "scalar_to_str"),
+        "Matrix", "NotNilpotentError", "SingularMatrixError",
+        "exp_nilpotent", "matrix_from_json", "matrix_to_json"),
+    "records": ("canonical", "scalar_to_str"),
     "roots": (
         "Permutation", "RootVector", "all_roots", "pairing", "reflect",
         "root", "simple_root", "transposition_word", "weyl_action"),
@@ -43,7 +43,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "records"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
 
 __all__ = sorted(_HOME)
 

@@ -8,27 +8,33 @@ permutation and scales, as sparse columns.  The dense exp(ad) product
 stays available through ``liealg.ad_matrix`` and ``linalg.exp_nilpotent``
 as an independent check.  Only this operator code loads ``liealg``.
 
-The relation sweep builds no operator.  It folds each word once into its
-value at a = 1, a signed permutation (``tits.word_fold``).  Every
-section's lifts are one torus conjugate of those at a = 1, so the group
-verdict is L = R there.  Ad(L) = Ad(R) exactly when L R^-1 is central, and
-the only central signed permutations are +-I, so the algebra verdict is
-L = +-R.  A failing check keeps the two sides: their values at the section
-for the group, and for the algebra the images of e_1..e_n, f_1..f_n, which
-generate it: Ad(g) sends e_k to s_k s_{k+1} E_{sigma(k), sigma(k+1)} and
-f_k to the transposed unit with the same coefficient.
+The relation sweep builds no operator and no braid word.  It reads the
+relation table as rows of plain letters (``braid.relation_words``) and
+folds each side once into its value at a = 1, a signed permutation
+(``tits.letters_fold``).  Every section's lifts are one torus conjugate
+of those at a = 1, so the group verdict is L = R there.  Ad(L) = Ad(R)
+exactly when L R^-1 is central, and the only central signed permutations
+are +-I, so the algebra verdict is L = +-R.  A failing check keeps the two
+sides: their values at the section for the group, and for the algebra the
+images of e_1..e_n, f_1..f_n, which generate it: Ad(g) sends e_k to
+s_k s_{k+1} E_{sigma(k), sigma(k+1)} and f_k to the transposed unit with
+the same coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .braid import relation_instances
-from .linalg import Matrix, Scalar, canonical
-from .records import frozen
-from .tits import (GroupElement, TitsSection, monomial_lift, value_at,
-                   word_fold)
+from .braid import relation_words
+from .records import Scalar, canonical, frozen
+from .tits import (GroupElement, TitsSection, letters_fold, monomial_lift,
+                   value_at)
+
+if TYPE_CHECKING:  # the operator code loads these where it builds them
+    from .liealg import LieElement
+    from .linalg import Matrix
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
 
@@ -65,6 +71,7 @@ class AlgebraAutomorphism:
     @property
     def op(self) -> Matrix:
         """The operator as a dense d x d matrix."""
+        from .linalg import Matrix
         d = len(self.cols)
         rows = [[0] * d for _ in range(d)]
         for k, col in enumerate(self.cols):
@@ -207,28 +214,28 @@ def verify(s: TitsSection, level: str) -> RelationReport:
     for the lifts of the section s, "adjoint" for the automorphisms they
     induce (which do not depend on s), or "all" for both.
 
-    Each word of relation_instances(s.n) is folded once, and both levels
-    read their verdict off the two values at a = 1.  A word shared by
-    several instances is folded for each: looking its value up would cost
-    about as much as the fold.
+    Each row of relation_words(s.n) is folded once, side by side, and
+    both levels read their verdict off the two values at a = 1.  A word
+    shared by several rows is folded for each: looking its value up would
+    cost about as much as the fold.
     """
     if level not in ("group", "adjoint", "all"):
         raise ValueError(f"unknown level {level!r}")
     group, adjoint = level != "adjoint", level != "group"
-    fold, checks = word_fold(s.n), []
-    for inst in relation_instances(s.n):
-        left, right = fold(inst.left), fold(inst.right)
+    fold, checks = letters_fold(s.n), []
+    for tag, i, j, left_letters, right_letters in relation_words(s.n):
+        left, right = fold(left_letters), fold(right_letters)
         same = left == right
         # every field by position: the record's fast path
         if group:
             checks.append(RelationCheck(
-                inst.tag, inst.i, inst.j, same,
+                tag, i, j, same,
                 None if same else value_at(s, left),
                 None if same else value_at(s, right)))
         if adjoint:
             passed = same or left == tuple([-x for x in right])
             checks.append(RelationCheck(
-                _ADJOINT_TAG[inst.tag], inst.i, inst.j, passed,
+                _ADJOINT_TAG[tag], i, j, passed,
                 None if passed else _adjoint_images(left),
                 None if passed else _adjoint_images(right)))
     return RelationReport(s.n, tuple(checks))

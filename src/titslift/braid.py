@@ -10,9 +10,11 @@ reduction, the cancellation of adjacent S_i S_i^{-1} pairs.
 from __future__ import annotations
 
 from .records import frozen
-from .roots import Permutation, simple_root, pairing
 
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
+Letters = tuple[Letter, ...]
+# (tag, i, j, left letters, right letters): one relation as plain data
+RelationRow = tuple[str, int, int, Letters, Letters]
 
 
 @frozen
@@ -100,6 +102,7 @@ def natural_projection(w: BraidWord) -> Permutation:
     Each S_i, with either exponent, maps to the adjacent transposition
     (i, i+1); letters compose left to right, matching matrix products.
     """
+    from .roots import Permutation
     images = list(range(1, w.n + 2))
     for i, _ in w.letters:
         images[i - 1], images[i] = images[i], images[i - 1]
@@ -137,43 +140,58 @@ class RelationInstance:
     right: BraidWord
 
 
-def relation_instances(n: int) -> list[RelationInstance]:
-    """All relation templates for rank n, as pairs of braid words.
+def relation_words(n: int) -> list[RelationRow]:
+    """All relation templates for rank n, as rows of plain letters.
 
     Four families are emitted, tagged 2.9 (braid relations), 2.10
     (commuting squares), 2.11 (fourth power trivial) and 2.12 (square
     twisted by conjugation).  Families 2.9, 2.10 and 2.12 range over
     ordered pairs i != j; family 2.11 involves a single index and is
-    emitted once per i (so rank 1 still checks S_1^4).  Instances share
-    their words: the 2.9 and 2.10 sides at (j, i) are those at (i, j)
-    swapped, and the right side of 2.12 is a 2.10 word or S_j^2.
+    emitted once per i (so rank 1 still checks S_1^4).  Rows share their
+    letter tuples: the 2.9 and 2.10 sides at (j, i) are those at (i, j)
+    swapped, and the right side of 2.12 is a 2.10 word or S_j^2.  The
+    letters are written here, so they are not validated again.
     """
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
     cox = CoxeterMatrix(n)
-    alpha = {j: simple_root(n, j) for j in range(1, n + 1)}
-    words: dict[tuple[int, ...], BraidWord] = {}
-
-    def word(*signed: int) -> BraidWord:
-        if signed not in words:
-            words[signed] = BraidWord.from_ints(n, signed)
-        return words[signed]
-
-    out = [RelationInstance("2.11", i, i, word(i, i, i, i), word())
-           for i in range(1, n + 1)]
+    s = [(k, 1) for k in range(n + 1)]  # s[k] is the letter S_k
+    square = [(x, x) for x in s]
+    out = [("2.11", i, i, square[i] * 2, ()) for i in range(1, n + 1)]
+    sides = {}  # (i, j) with i < j -> m(i, j), the 2.9 and the 2.10 sides
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j:
+            if i < j:
+                m = cox.m(i, j)
+                braid = (s[i], s[j], s[i])[:m], (s[j], s[i], s[j])[:m]
+                squares = square[i] + square[j], square[j] + square[i]
+                sides[i, j] = m, braid, squares
+            elif i > j:
+                m, braid, squares = sides[j, i]
+                braid, squares = braid[::-1], squares[::-1]
+            else:
                 continue
-            m = cox.m(i, j)
-            out.append(RelationInstance(
-                "2.9", i, j, word(*(i, j, i)[:m]), word(*(j, i, j)[:m])))
-            out.append(RelationInstance(
-                "2.10", i, j, word(i, i, j, j), word(j, j, i, i)))
-            # exponent -2 * <alpha_j, h_i>: 2 for adjacent i, j, else 0
-            e = -2 * pairing(alpha[j], i)
-            sign = 1 if e >= 0 else -1
-            out.append(RelationInstance(
-                "2.12", i, j, word(i, j, j, -i),
-                word(j, j, *[sign * i] * abs(e))))
+            out.append(("2.9", i, j, *braid))
+            out.append(("2.10", i, j, *squares))
+            # S_j^2 S_i^e with e = -2 <alpha_j, h_i>: 2 when m = 3, else 0
+            out.append(("2.12", i, j, (s[i], s[j], s[j], (i, -1)),
+                        squares[1] if m == 3 else square[j]))
     return out
+
+
+def relation_instances(n: int) -> list[RelationInstance]:
+    """The rows of relation_words(n) as records of braid words.
+
+    The rows share their letter tuples, so each tuple object becomes one
+    BraidWord, shared by every instance that uses it.
+    """
+    words: dict[int, BraidWord] = {}  # id of a letter tuple -> its word
+
+    def word(letters: Letters) -> BraidWord:
+        w = words.get(id(letters))
+        if w is None:
+            w = words[id(letters)] = BraidWord(n, letters)
+        return w
+
+    return [RelationInstance(tag, i, j, word(left), word(right))
+            for tag, i, j, left, right in relation_words(n)]

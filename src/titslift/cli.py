@@ -15,9 +15,7 @@ import argparse
 import os
 import sys
 
-from .braid import parse_word
-from .linalg import (matrix_from_json, matrix_to_json, parse_scalar,
-                     scalar_to_str)
+from .records import parse_scalar, scalar_to_str
 from .tits import (GroupElement, NotInNormalizer, TitsSection, monomial_word,
                    normalizer_decompose)
 
@@ -90,6 +88,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_eval_word(args: argparse.Namespace) -> int:
     import json
+
+    from .braid import parse_word
+    from .linalg import matrix_to_json
+
     if _over_cap(args):
         return USAGE_ERROR
     try:
@@ -122,6 +124,9 @@ def cmd_eval_word(args: argparse.Namespace) -> int:
 
 def cmd_normalizer_check(args: argparse.Namespace) -> int:
     import json
+
+    from .linalg import matrix_from_json
+
     try:
         with open(args.matrix, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -201,6 +206,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except (MemoryError, OverflowError):
+        # a rank past a raised --max-rank, too long for any list: an input
+        # error, not a failed relation
+        print("error: rank too large to allocate", file=sys.stderr)
+        return USAGE_ERROR
     except BrokenPipeError:
         # the reader closed stdout early: report that, not a verdict, and
         # send the unflushed rest to the null device so exit stays quiet

@@ -1,20 +1,20 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are immutable and square.  Entries are python ints or
-``fractions.Fraction`` values kept in canonical form (a Fraction with
-denominator 1 collapses to an int), so equality of matrices is plain
-structural equality and hashing is consistent.  Every operation here is
-exact; nothing in this package ever touches floating point.
+Matrices are immutable and square.  Entries are scalars in the canonical
+form of ``records.canonical`` (a Fraction with denominator 1 collapses to
+an int), so equality of matrices is plain structural equality and hashing
+is consistent.  Every operation here is exact; nothing in this package
+ever touches floating point.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-Scalar = Union[int, Fraction]
+# the scalars live in records, which every subcommand loads
+from .records import Scalar, canonical, parse_scalar, scalar_to_str
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -23,61 +23,6 @@ class SingularMatrixError(ZeroDivisionError):
 
 class NotNilpotentError(ValueError):
     """exp_nilpotent was handed a matrix with no vanishing power."""
-
-
-_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def canonical(x: Scalar | str) -> Scalar:
-    """Return x as an int when integral, else as a reduced Fraction.
-
-    Accepts ints, Fractions and strings "p" or "p/q" like "-3/2"; floats,
-    bools and other strings ("1.5", "+3") are rejected with ValueError.
-
-    >>> canonical(Fraction(4, 2))
-    2
-    >>> canonical("5/10")
-    Fraction(1, 2)
-    """
-    if type(x) is int:
-        return x
-    if isinstance(x, (bool, float)):
-        raise ValueError(
-            f"scalar must be exact, not a float or bool, got {x!r}")
-    if isinstance(x, str) and not _SCALAR_TEXT.fullmatch(x):
-        raise ValueError(f'scalar string must be "p" or "p/q", got {x!r}')
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return int(x) if x.denominator == 1 else x
-
-
-def parse_scalar(x: object) -> Scalar:
-    """Read a scalar from JSON: an int, or a string "p" or "p/q".
-
-    Floats, booleans, decimal strings and zero denominators are rejected
-    with ValueError, so input stays as exact as the output format.
-
-    >>> parse_scalar("6/4")
-    Fraction(3, 2)
-    >>> parse_scalar(0.5)
-    Traceback (most recent call last):
-    ...
-    ValueError: scalar must be an int or a string "p" or "p/q", got 0.5
-    """
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if not isinstance(x, str) or not _SCALAR_TEXT.fullmatch(x):
-        raise ValueError(
-            f'scalar must be an int or a string "p" or "p/q", got {x!r}')
-    try:
-        return canonical(Fraction(x))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {x!r}") from None
-
-
-def scalar_to_str(x: Scalar) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
-    return str(Fraction(x))
 
 
 class Matrix:

@@ -1,4 +1,5 @@
-"""Immutable record classes declared by annotated fields.
+"""Immutable record classes declared by annotated fields, and the exact
+scalars their fields hold.
 
 ``@frozen`` gives a class whose body lists annotated fields, in order,
 the behaviour of ``dataclasses.dataclass(frozen=True)`` that this package
@@ -12,13 +13,78 @@ in ``==``, ``hash`` or the repr.
 
 The methods are plain closures, so defining a record compiles no code at
 import time; every CLI call is a fresh process and pays for that.
+
+A scalar is an int or a ``fractions.Fraction`` in canonical form: a
+Fraction with denominator 1 collapses to an int, so equality is plain
+structural equality.  ``canonical`` and ``parse_scalar`` are the only ways
+in, ``scalar_to_str`` the way out.  They live here, not in ``linalg``
+(which re-exports them), because every subcommand loads this module and
+``verify`` loads no dense matrix code.
 """
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
 from operator import attrgetter
+from typing import Union
+
+Scalar = Union[int, Fraction]
 
 _MISSING = object()
+_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def canonical(x: Scalar | str) -> Scalar:
+    """Return x as an int when integral, else as a reduced Fraction.
+
+    Accepts ints, Fractions and strings "p" or "p/q" like "-3/2"; floats,
+    bools and other strings ("1.5", "+3") are rejected with ValueError.
+
+    >>> canonical(Fraction(4, 2))
+    2
+    >>> canonical("5/10")
+    Fraction(1, 2)
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, (bool, float)):
+        raise ValueError(
+            f"scalar must be exact, not a float or bool, got {x!r}")
+    if isinstance(x, str) and not _SCALAR_TEXT.fullmatch(x):
+        raise ValueError(f'scalar string must be "p" or "p/q", got {x!r}')
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return int(x) if x.denominator == 1 else x
+
+
+def parse_scalar(x: object) -> Scalar:
+    """Read a scalar from JSON: an int, or a string "p" or "p/q".
+
+    Floats, booleans, decimal strings and zero denominators are rejected
+    with ValueError, so input stays as exact as the output format.
+
+    >>> parse_scalar("6/4")
+    Fraction(3, 2)
+    >>> parse_scalar(0.5)
+    Traceback (most recent call last):
+    ...
+    ValueError: scalar must be an int or a string "p" or "p/q", got 0.5
+    """
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if not isinstance(x, str) or not _SCALAR_TEXT.fullmatch(x):
+        raise ValueError(
+            f'scalar must be an int or a string "p" or "p/q", got {x!r}')
+    try:
+        return canonical(Fraction(x))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def scalar_to_str(x: Scalar) -> str:
+    """Canonical string form: "p" for integers, "p/q" otherwise."""
+    return str(Fraction(x))
 
 
 def frozen(cls=None, *, hidden=()):

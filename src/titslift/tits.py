@@ -19,12 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .braid import BraidWord
-from .linalg import Matrix, Scalar, canonical, exp_nilpotent
-from .records import frozen
-from .roots import Permutation
+from .records import Scalar, canonical, frozen
+
+if TYPE_CHECKING:  # the dense and word types load only where they are built
+    from .braid import BraidWord, Letters
+    from .linalg import Matrix
+    from .roots import Permutation
 
 
 class NotInNormalizer(ValueError):
@@ -51,6 +53,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, dim: int) -> GroupElement:
+        from .linalg import Matrix
         return cls(Matrix.identity(dim))
 
     def __mul__(self, other: GroupElement) -> GroupElement:
@@ -95,6 +98,7 @@ def sigma_generator(s: TitsSection, i: int) -> GroupElement:
 def exp_construction(n: int, i: int) -> GroupElement:
     """The all-ones lift as exp(e_i) exp(-f_i) exp(e_i), an independent
     construction that must agree with sigma_generator at parameter 1."""
+    from .linalg import Matrix, exp_nilpotent
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range 1..{n}")
     e = Matrix.unit(n + 1, i, i + 1)
@@ -102,25 +106,38 @@ def exp_construction(n: int, i: int) -> GroupElement:
     return GroupElement(exp_nilpotent(e) * exp_nilpotent(-f) * exp_nilpotent(e))
 
 
-def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
-    """The map taking a rank-n braid word to its value at a = 1.
+def letters_fold(n: int) -> Callable[[Letters],
+                                     tuple[int, ...]]:
+    """The map taking the letters of a rank-n word to its value at a = 1.
 
     The value is a signed permutation matrix, kept as one int per column:
     +-(1-based row of its nonzero entry).  The letter step is where the
     lift is written down: S_i^e swaps the 0-based columns j = i-1 and
     k = i and signs them -e and e.  Column j of x * S is column sigma_S(j)
-    of x times S's j-th scale, so a letter moves two ints.
+    of x times S's j-th scale, so a letter moves two ints.  The letters
+    are not checked: they come from a BraidWord (see word_fold) or from
+    braid.relation_words.
     """
     identity = list(range(1, n + 2))
 
-    def fold(w: BraidWord) -> tuple[int, ...]:
-        if w.n != n:
-            raise ValueError(f"need a rank-{n} word, got rank {w.n}")
+    def fold(letters: Letters) -> tuple[int, ...]:
         cols = identity.copy()
-        for i, e in w.letters:
+        for i, e in letters:
             cols[i - 1], cols[i] = -e * cols[i], e * cols[i - 1]
         return tuple(cols)
     return fold
+
+
+def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
+    """The map taking a rank-n braid word to its value at a = 1: the
+    letters_fold of its letters, once its rank is checked."""
+    fold = letters_fold(n)
+
+    def fold_word(w: BraidWord) -> tuple[int, ...]:
+        if w.n != n:
+            raise ValueError(f"need a rank-{n} word, got rank {w.n}")
+        return fold(w.letters)
+    return fold_word
 
 
 def value_at(s: TitsSection, value: tuple[int, ...]) -> MonomialDecomposition:
@@ -132,6 +149,7 @@ def value_at(s: TitsSection, value: tuple[int, ...]) -> MonomialDecomposition:
     eps_j t_{sigma(j)} / t_j.  Conjugation is a bijection, so two words
     agree at a section exactly when they agree at a = 1.
     """
+    from .roots import Permutation
     if len(value) != s.n + 1:
         raise ValueError(f"rank mismatch: section {s.n} vs {len(value) - 1}")
     t = [Fraction(1)] * (s.n + 1)  # 0-based: t[k] = a_{k+1} ... a_n
@@ -175,6 +193,7 @@ class MonomialDecomposition:
             raise ValueError("monomial scales must be nonzero")
 
     def reconstruct(self) -> GroupElement:
+        from .linalg import Matrix
         dim = self.sigma.n_points
         rows = [[0] * dim for _ in range(dim)]
         for col in range(1, dim + 1):
@@ -189,6 +208,7 @@ def monomial_lift(s: TitsSection, i: int, e: int) -> MonomialDecomposition:
     >>> monomial_lift(TitsSection(2, (Fraction(2, 3), 5)), 1, 1).scales
     (Fraction(-3, 2), Fraction(2, 3), 1)
     """
+    from .braid import BraidWord
     return value_at(s, word_fold(s.n)(BraidWord(s.n, ((i, e),))))
 
 
@@ -199,6 +219,7 @@ def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:
     two nonzero entries; exactly the monomial matrices normalize the
     diagonal torus.
     """
+    from .roots import Permutation
     dim = x.dim
     images, scales = [], []
     for col in range(1, dim + 1):
@@ -226,6 +247,7 @@ def torus_generation_witness(x: GroupElement) -> list[GroupElement]:
     entries of x; the factors telescope back to x.  Over the rationals
     every nonzero P_i is allowed, so every such matrix factors exactly.
     """
+    from .linalg import Matrix
     if not x.m.is_diagonal():
         raise ValueError("matrix is not diagonal")
     dim = x.dim
@@ -290,6 +312,7 @@ def conjugation_witness(s: TitsSection, s2: TitsSection) -> GroupElement:
     the rationals hold no such root, NoExactWitness is raised.  For even
     n+1 the positive root is chosen.
     """
+    from .linalg import Matrix
     if s.n != s2.n:
         raise ValueError(f"rank mismatch: {s.n} vs {s2.n}")
     n = s.n

@@ -263,6 +263,15 @@ def test_sparse_and_dense_forms_agree():
                for col in cols for x in col.values())
 
 
+def _use_table(monkeypatch, table):
+    """Make the sweep read these instances: autos reads the relation
+    table as rows of plain letters through braid.relation_words."""
+    import titslift.autos as autos
+    rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
+            for t in table]
+    monkeypatch.setattr(autos, "relation_words", lambda k: rows)
+
+
 def _square_is_trivial(inst):
     # S_i^2 = 1 in place of S_i^4 = 1
     if inst.tag != "2.11":
@@ -285,10 +294,9 @@ def _flip_last_exponent(inst):
                                         (_flip_last_exponent, "2.12")])
 def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
                                                      tag):
-    import titslift.autos as autos
     for n in (2, 3):
         table = [mutate(inst) for inst in relation_instances(n)]
-        monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+        _use_table(monkeypatch, table)
         adjoint = verify_theorem1(n)
         group = verify_group_relations(TitsSection(n, (2,) * n))
         failed = {(PAIR_TAGS[r.tag], r.i, r.j) for r in adjoint.failures()}
@@ -311,11 +319,10 @@ def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
                                     _flip_last_exponent])
 def test_group_verdicts_match_the_dense_word_values(monkeypatch, mutate):
     # the pair comparison of the sweep against the dense matrices
-    import titslift.autos as autos
     rng = random.Random(83)
     for n in range(1, 5):
         table = [mutate(inst) for inst in relation_instances(n)]
-        monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+        _use_table(monkeypatch, table)
         for _ in range(3):
             s = TitsSection(n, tuple(
                 Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
@@ -334,10 +341,9 @@ def test_adjoint_verdicts_match_the_dense_operator_products(monkeypatch,
                                                             mutate):
     # the generator-image comparison of the sweep against whole operators:
     # each word's dense product of its letters' operators
-    import titslift.autos as autos
     for n in range(1, 5):
         table = [mutate(inst) for inst in relation_instances(n)]
-        monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+        _use_table(monkeypatch, table)
         identity = Matrix.identity(dimension(n))
 
         def dense(w):
@@ -357,9 +363,8 @@ def test_adjoint_verdicts_match_the_dense_operator_products(monkeypatch,
 def test_algebra_level_cannot_see_the_centre_at_rank_one(monkeypatch):
     # S_1^2 evaluates to -1, which is central: the group level rejects
     # S_1^2 = 1 while conjugation by -1 is the identity operator
-    import titslift.autos as autos
     table = [_square_is_trivial(inst) for inst in relation_instances(1)]
-    monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+    _use_table(monkeypatch, table)
     assert not verify_group_relations(TitsSection.ones(1)).all_pass
     assert verify_theorem1(1).all_pass
 
@@ -392,7 +397,6 @@ def test_algebra_verdict_is_l_equals_plus_or_minus_r(monkeypatch):
     # the rule L = +-R at a = 1 against the operator walk, on random word
     # pairs; at odd n, -I = S_1^2 S_3^2 ... S_n^2 gives pairs that only the
     # algebra level accepts
-    import titslift.autos as autos
     rng = random.Random(131)
     seen = set()
     for n in range(1, 7):
@@ -410,7 +414,7 @@ def test_algebra_verdict_is_l_equals_plus_or_minus_r(monkeypatch):
                      u[:cut] + minus_one + u[cut:])[k % 4]
             table.append(RelationInstance("2.9", k, k, BraidWord(n, u),
                                           BraidWord(n, other)))
-        monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+        _use_table(monkeypatch, table)
         s = TitsSection(n, tuple(Fraction(rng.choice((-3, -1, 2, 5)),
                                           rng.randint(1, 4))
                                  for _ in range(n)))

@@ -1,13 +1,15 @@
 """Braid words: parsing, free reduction, the projection to the symmetric
 group, and the generated table of relation instances."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
 from titslift.braid import (BraidWord, CoxeterMatrix, is_pure,
                             natural_projection, parse_word,
-                            relation_instances, word_to_text)
-from titslift.roots import Permutation
+                            relation_instances, relation_words, word_to_text)
+from titslift.roots import Permutation, pairing, simple_root
 
 
 def letters(n, max_len=10):
@@ -159,3 +161,134 @@ def test_projections_of_relation_instances_agree():
         for inst in relation_instances(n):
             assert natural_projection(inst.left) == natural_projection(
                 inst.right), (inst.tag, inst.i, inst.j)
+
+
+def _family_rows(n):
+    """The four families written out from signed indices, one by one."""
+    def word(*signed):
+        return BraidWord.from_ints(n, signed).letters
+    rows = [("2.11", i, i, word(i, i, i, i), word()) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                m = CoxeterMatrix(n).m(i, j)
+                e = -2 * pairing(simple_root(n, j), i)
+                rows += [("2.9", i, j, word(*(i, j, i)[:m]),
+                          word(*(j, i, j)[:m])),
+                         ("2.10", i, j, word(i, i, j, j), word(j, j, i, i)),
+                         ("2.12", i, j, word(i, j, j, -i),
+                          word(j, j, *[i if e > 0 else -i] * abs(e)))]
+    return rows
+
+
+def test_relation_instances_are_the_rows_of_relation_words():
+    for n in range(1, 9):
+        assert relation_words(n) == _family_rows(n)
+        assert [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
+                for t in relation_instances(n)] == relation_words(n)
+    # the rows share their letter tuples as the instances share words
+    ids = {id(side) for row in relation_words(12) for side in row[3:]}
+    assert len(ids) == 421
+
+
+def test_twist_exponent_is_the_cartan_pairing():
+    # 2.12 is S_i S_j^2 S_i^-1 = S_j^2 S_i^e with e = -2 <alpha_j, h_i>,
+    # written in the table from the Coxeter entry alone
+    for n in range(1, 9):
+        for tag, i, j, left, right in relation_words(n):
+            if tag != "2.12":
+                continue
+            e = -2 * pairing(simple_root(n, j), i)
+            twist = ((i, 1 if e > 0 else -1),) * abs(e)
+            assert right == ((j, 1), (j, 1)) + twist
+
+
+def _coset_count(n, relators):
+    """The number of cosets of the trivial subgroup in the group with
+    generators S_1..S_n and these relators, by Todd-Coxeter enumeration
+    (HLT: scan every relator at every coset, define cosets to fill the
+    gaps, and merge cosets that a relator forces equal).
+
+    A letter (i, e) is the column 2(i - 1) + (e < 0) of the coset table;
+    column g ^ 1 is its inverse.
+    """
+    gens = 2 * n
+    rels = [[2 * (i - 1) + (e < 0) for i, e in r] for r in relators]
+    table, parent = [[None] * gens], [0]
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    def define(c, g):
+        table.append([None] * gens)
+        parent.append(len(parent))
+        table[c][g], table[-1][g ^ 1] = len(table) - 1, c
+
+    def coincide(a, b):
+        queue = []
+
+        def merge(x, y):
+            x, y = find(x), find(y)
+            if x != y:
+                x, y = min(x, y), max(x, y)
+                parent[y] = x
+                queue.append(y)
+        merge(a, b)
+        while queue:
+            dead = queue.pop(0)
+            for g in range(gens):
+                d = table[dead][g]
+                if d is None:
+                    continue
+                table[d][g ^ 1] = None
+                c, d = find(dead), find(d)
+                if table[c][g] is not None:
+                    merge(d, table[c][g])
+                elif table[d][g ^ 1] is not None:
+                    merge(c, table[d][g ^ 1])
+                else:
+                    table[c][g], table[d][g ^ 1] = d, c
+
+    def scan_and_fill(c, r):
+        f, b, i, j = c, c, 0, len(r) - 1
+        while True:
+            while i <= j and table[f][r[i]] is not None:
+                f, i = table[f][r[i]], i + 1
+            if i > j:
+                if f != b:
+                    coincide(f, b)
+                return
+            while j >= i and table[b][r[j] ^ 1] is not None:
+                b, j = table[b][r[j] ^ 1], j - 1
+            if j < i:
+                coincide(f, b)
+                return
+            if i == j:
+                table[f][r[i]], table[b][r[i] ^ 1] = b, f
+                return
+            define(f, r[i])
+
+    c = 0
+    while c < len(table):
+        for r in rels:
+            if find(c) != c:
+                break
+            scan_and_fill(c, r)
+        if find(c) == c:
+            for g in range(gens):
+                if table[c][g] is None:
+                    define(c, g)
+        c += 1
+    return sum(find(c) == c for c in range(len(table)))
+
+
+def test_relation_table_presents_the_extended_weyl_group():
+    # the relators L R^-1 of families 2.9-2.12 present a group of order
+    # 2^n (n+1)!, the signed permutations of determinant one that the
+    # lifts at a = 1 generate (Tits): no group relation is missing
+    for n in range(1, 5):
+        relators = {left + tuple((i, -e) for i, e in reversed(right))
+                    for _, _, _, left, right in relation_words(n)}
+        assert _coset_count(n, sorted(relators)) == 2 ** n * factorial(n + 1)

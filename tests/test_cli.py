@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import titslift.autos as autos
 from titslift.braid import (BraidWord, RelationInstance,
-                            relation_instances)
+                            relation_instances, relation_words)
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
 from titslift.tits import TitsSection
@@ -144,8 +144,9 @@ def test_verify_report_text_is_the_indented_json(tmp_path, capsys,
     params = ["2/3", "-5", "7", "1/4"]
     for n in (1, 2, 3, 4):
         if mutate is not None:
-            table = [mutate(inst) for inst in autos.relation_instances(n)]
-            monkeypatch.setattr(autos, "relation_instances", lambda k: table)
+            rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
+                    for t in map(mutate, relation_instances(n))]
+            monkeypatch.setattr(autos, "relation_words", lambda k: rows)
         checks = ()
         if level != "group":
             checks += autos.verify_theorem1(n).relations
@@ -341,6 +342,21 @@ def test_eval_word_respects_rank_cap(capsys):
     assert json.loads(out)["matrix"]["dim"] == 34
 
 
+@pytest.mark.parametrize("command", [["verify"],
+                                     ["eval-word", "--word", "1"]],
+                         ids=["verify", "eval-word"])
+@pytest.mark.parametrize("n", [2 ** 62, 10 ** 20])
+def test_rank_too_large_to_allocate_is_an_input_error(capsys, command, n):
+    # past a raised cap, a rank no list can hold exits 2, not 1 ("relation
+    # failed"); at these sizes CPython refuses the length before it
+    # allocates anything (MemoryError at 2**62, OverflowError past 2**63)
+    code, out, err = run(capsys, command + ["--n", str(n),
+                                            "--max-rank", str(n)])
+    _assert_input_error(code, err)
+    assert err == "error: rank too large to allocate\n"
+    assert out == ""
+
+
 def test_eval_word_result_too_large_to_print_is_an_input_error(capsys):
     # each parameter is within the int-to-str limit, but a scale of the
     # value, a product of two of them, is not
@@ -444,13 +460,14 @@ def test_verify_under_python_optimize_flag():
     mutated = """
 import sys
 import titslift.autos as autos
-from titslift.braid import BraidWord, RelationInstance
+from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.cli import main
 table = [inst if inst.tag != "2.11" else RelationInstance(
              inst.tag, inst.i, inst.j, BraidWord.from_ints(2, [inst.i] * 2),
              inst.right)
-         for inst in autos.relation_instances(2)]
-autos.relation_instances = lambda k: table
+         for inst in relation_instances(2)]
+rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters) for t in table]
+autos.relation_words = lambda k: rows
 sys.exit(main(["verify", "--n", "2", "--level", "all"]))
 """
     proc = subprocess.run([sys.executable, "-O", "-c", mutated], env=env,
@@ -465,8 +482,8 @@ def test_verify_at_every_level_reads_the_relation_table_once(monkeypatch,
 
     def counted(n):
         calls.append(n)
-        return relation_instances(n)
-    monkeypatch.setattr(autos, "relation_instances", counted)
+        return relation_words(n)
+    monkeypatch.setattr(autos, "relation_words", counted)
     code, out, _ = run(capsys, ["verify", "--n", "5"])
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert calls == [5]

@@ -54,26 +54,37 @@ def test_import_loads_no_submodule(tmp_path):
     assert "dataclasses" not in modules
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
-    ["normalizer-check", "--matrix", "m.json"],
+GROUP_LEVEL = {"titslift", "titslift.cli", "titslift.records",
+               "titslift.tits", "titslift.linalg", "titslift.roots"}
+
+
+@pytest.mark.parametrize("argv,package", [
+    (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
+     GROUP_LEVEL | {"titslift.braid"}),
+    (["normalizer-check", "--matrix", "m.json"], GROUP_LEVEL),
 ], ids=["eval-word", "normalizer-check"])
-def test_light_subcommands_skip_the_algebra_layer(tmp_path, argv):
+def test_light_subcommands_skip_the_algebra_layer(tmp_path, argv, package):
+    # normalizer-check reads a matrix, not a word, so it loads no braid
     (tmp_path / "m.json").write_text(json.dumps(
         {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
     code, modules = _loaded(tmp_path, argv)
     assert code == 0
-    assert "titslift.tits" in modules
+    assert {m for m in modules if m.startswith("titslift")} == package
     assert not modules & {"titslift.autos", "titslift.liealg", "dataclasses"}
 
 
 def test_verify_loads_the_algebra_layer(tmp_path):
-    # the sweeps read the algebra verdicts off word values, so only the
-    # operator code in autos needs liealg
-    code, modules = _loaded(tmp_path, ["verify", "--n", "2"])
-    assert code == 0
-    assert "titslift.autos" in modules
-    assert not modules & {"titslift.liealg", "dataclasses"}
+    # the sweeps fold plain letter rows into ints at every level: no root,
+    # no dense matrix, and only the operator code in autos needs liealg
+    for level in ("group", "adjoint", "all"):
+        code, modules = _loaded(tmp_path, ["verify", "--n", "3", "--level",
+                                           level, "--params=2,-1/3,5"])
+        assert code == 0
+        assert {m for m in modules if m.startswith("titslift")} == {
+            "titslift", "titslift.cli", "titslift.records", "titslift.tits",
+            "titslift.braid", "titslift.autos"}, level
+        assert not modules & {"titslift.roots", "titslift.linalg",
+                              "titslift.liealg", "json", "dataclasses"}
 
 
 @pytest.mark.parametrize("argv", [
