@@ -16,13 +16,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "autos": (
-        "AlgebraAutomorphism", "RelationCheck", "RelationReport",
-        "conjugation_automorphism", "report_from_json", "report_to_json",
-        "tau_generator", "verify_group_relations", "verify_theorem1"),
+        "AlgebraAutomorphism", "conjugation_automorphism", "report_from_json",
+        "report_to_json", "tau_generator", "verify_group_relations",
+        "verify_theorem1"),
     "braid": (
-        "BraidWord", "CoxeterMatrix", "RelationInstance", "is_pure",
-        "natural_projection", "parse_word", "relation_instances",
-        "relation_words", "word_to_text"),
+        "BraidWord", "RelationInstance", "is_pure", "natural_projection",
+        "parse_word", "relation_instances", "word_to_text"),
     "liealg": (
         "Cartan", "LieElement", "OffDiagonal", "ad_matrix", "basis_indices",
         "basis_matrix", "bracket", "decompose_by_cartan", "dimension",
@@ -30,13 +29,15 @@ _EXPORTS = {
     "linalg": (
         "Matrix", "NotNilpotentError", "SingularMatrixError",
         "exp_nilpotent", "matrix_from_json", "matrix_to_json"),
-    "records": ("canonical", "scalar_to_str"),
+    "records": ("TitsSection", "canonical", "scalar_to_str"),
+    "relations": (
+        "CoxeterMatrix", "RelationCheck", "RelationReport", "relation_words"),
     "roots": (
-        "Permutation", "RootVector", "all_roots", "pairing", "reflect",
-        "root", "simple_root", "transposition_word", "weyl_action"),
+        "RootVector", "all_roots", "pairing", "reflect", "root",
+        "simple_root", "transposition_word", "weyl_action"),
     "tits": (
         "GroupElement", "MonomialDecomposition", "NoExactWitness",
-        "NotInNormalizer", "TitsSection", "conjugation_witness",
+        "NotInNormalizer", "Permutation", "conjugation_witness",
         "coset_class", "evaluate_word", "exp_construction",
         "normalizer_decompose", "rational_nth_root", "sigma_generator",
         "torus_generation_witness"),

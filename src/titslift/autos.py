@@ -7,18 +7,8 @@ monomial matrix, so it is built here in closed form from that lift's
 permutation and scales, as sparse columns.  The dense exp(ad) product
 stays available through ``liealg.ad_matrix`` and ``linalg.exp_nilpotent``
 as an independent check.  Only this operator code loads ``liealg``.
-
-The relation sweep builds no operator and no braid word.  It reads the
-relation table as rows of plain letters (``braid.relation_words``) and
-folds each side once into its value at a = 1, a signed permutation
-(``tits.letters_fold``).  Every section's lifts are one torus conjugate
-of those at a = 1, so the group verdict is L = R there.  Ad(L) = Ad(R)
-exactly when L R^-1 is central, and the only central signed permutations
-are +-I, so the algebra verdict is L = +-R.  A failing check keeps the two
-sides: their values at the section for the group, and for the algebra the
-images of e_1..e_n, f_1..f_n, which generate it: Ad(g) sends e_k to
-s_k s_{k+1} E_{sigma(k), sigma(k+1)} and f_k to the transposed unit with
-the same coefficient.
+The relation sweep builds no operator: ``verify`` and its records live in
+``relations``, re-exported here next to their JSON form.
 """
 
 from __future__ import annotations
@@ -27,10 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .braid import relation_words
-from .records import Scalar, canonical, frozen
-from .tits import (GroupElement, TitsSection, letters_fold, monomial_lift,
-                   value_at)
+from .records import Scalar, TitsSection, canonical, frozen
+from .relations import RelationCheck, RelationReport, verify
+from .tits import GroupElement, monomial_lift
 
 if TYPE_CHECKING:  # the operator code loads these where it builds them
     from .liealg import LieElement
@@ -139,43 +128,6 @@ def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
     return AlgebraAutomorphism(n, tuple(cols))
 
 
-@frozen(hidden=("left", "right"))
-class RelationCheck:
-    """Outcome of one relation instance: tag, indices, verdict.
-
-    On failure, left and right hold the two sides' values: the generator
-    images as (row, column, coefficient) triples, or the monomial
-    decompositions at the section.  They stay None on a pass and never
-    take part in equality or the JSON form.
-    """
-
-    tag: str
-    i: int
-    j: int
-    passed: bool
-    left: object = None
-    right: object = None
-
-
-@frozen
-class RelationReport:
-    """All relation checks for one rank, sorted by (tag, i, j)."""
-
-    n: int
-    relations: tuple[RelationCheck, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "relations", tuple(
-            sorted(self.relations, key=lambda r: (r.tag, r.i, r.j))))
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.relations)
-
-    def failures(self) -> list[RelationCheck]:
-        return [r for r in self.relations if not r.passed]
-
-
 def report_to_json(rep: RelationReport) -> dict:
     return {
         "n": rep.n,
@@ -188,57 +140,19 @@ def report_to_json(rep: RelationReport) -> dict:
 
 
 def report_from_json(obj: dict) -> RelationReport:
+    """The inverse of report_to_json; a field of the wrong type raises."""
     try:
-        rels = tuple(
+        n, rels = obj["n"], tuple(
             RelationCheck(r["tag"], r["i"], r["j"], r["pass"])
             for r in obj["relations"]
         )
-        return RelationReport(obj["n"], rels)
     except (TypeError, KeyError) as exc:
         raise ValueError("report JSON needs 'n' and 'relations'") from exc
-
-
-_ADJOINT_TAG = {"2.9": "0.2", "2.10": "0.4", "2.11": "0.5", "2.12": "0.6"}
-
-
-def _adjoint_images(value: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """e_1..e_n, then f_1..f_n, under Ad of the value at a = 1, each a
-    matrix unit E_{row, column} times a coefficient, as a triple."""
-    e = [(abs(x), abs(y), 1 if x * y > 0 else -1)
-         for x, y in zip(value, value[1:])]
-    return tuple(e + [(col, row, c) for row, col, c in e])
-
-
-def verify(s: TitsSection, level: str) -> RelationReport:
-    """Check every defining relation for rank s.n at one level: "group"
-    for the lifts of the section s, "adjoint" for the automorphisms they
-    induce (which do not depend on s), or "all" for both.
-
-    Each row of relation_words(s.n) is folded once, side by side, and
-    both levels read their verdict off the two values at a = 1.  A word
-    shared by several rows is folded for each: looking its value up would
-    cost about as much as the fold.
-    """
-    if level not in ("group", "adjoint", "all"):
-        raise ValueError(f"unknown level {level!r}")
-    group, adjoint = level != "adjoint", level != "group"
-    fold, checks = letters_fold(s.n), []
-    for tag, i, j, left_letters, right_letters in relation_words(s.n):
-        left, right = fold(left_letters), fold(right_letters)
-        same = left == right
-        # every field by position: the record's fast path
-        if group:
-            checks.append(RelationCheck(
-                tag, i, j, same,
-                None if same else value_at(s, left),
-                None if same else value_at(s, right)))
-        if adjoint:
-            passed = same or left == tuple([-x for x in right])
-            checks.append(RelationCheck(
-                _ADJOINT_TAG[tag], i, j, passed,
-                None if passed else _adjoint_images(left),
-                None if passed else _adjoint_images(right)))
-    return RelationReport(s.n, tuple(checks))
+    if type(n) is not int or any(
+            (type(r.tag), type(r.i), type(r.j), type(r.passed))
+            != (str, int, int, bool) for r in rels):
+        raise ValueError("report needs int n, i, j, a str tag, a bool pass")
+    return RelationReport(n, rels)
 
 
 def verify_theorem1(n: int) -> RelationReport:

@@ -4,17 +4,14 @@ symmetric group on n+1 letters.
 Words are never rewritten with braid relations (that would be the word
 problem); equality of the group elements they denote is checked downstream
 by evaluating both sides as matrices.  The only rewriting here is free
-reduction, the cancellation of adjacent S_i S_i^{-1} pairs.
+reduction, the cancellation of adjacent S_i S_i^{-1} pairs.  The relation
+table is written in ``relations``; ``relation_instances`` views it here.
 """
 
 from __future__ import annotations
 
 from .records import frozen
-
-Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
-Letters = tuple[Letter, ...]
-# (tag, i, j, left letters, right letters): one relation as plain data
-RelationRow = tuple[str, int, int, Letters, Letters]
+from .relations import CoxeterMatrix, Letter, Letters, relation_words
 
 
 @frozen
@@ -102,7 +99,7 @@ def natural_projection(w: BraidWord) -> Permutation:
     Each S_i, with either exponent, maps to the adjacent transposition
     (i, i+1); letters compose left to right, matching matrix products.
     """
-    from .roots import Permutation
+    from .tits import Permutation
     images = list(range(1, w.n + 2))
     for i, _ in w.letters:
         images[i - 1], images[i] = images[i], images[i - 1]
@@ -115,21 +112,6 @@ def is_pure(w: BraidWord) -> bool:
 
 
 @frozen
-class CoxeterMatrix:
-    """Pair orders for type A_n: m(i,i) = 1, adjacent 3, distant 2."""
-
-    n: int
-
-    def m(self, i: int, j: int) -> int:
-        for k in (i, j):
-            if not 1 <= k <= self.n:
-                raise ValueError(f"index {k} out of range 1..{self.n}")
-        if i == j:
-            return 1
-        return 3 if abs(i - j) == 1 else 2
-
-
-@frozen
 class RelationInstance:
     """One relation template: assert left and right evaluate equally."""
 
@@ -138,45 +120,6 @@ class RelationInstance:
     j: int
     left: BraidWord
     right: BraidWord
-
-
-def relation_words(n: int) -> list[RelationRow]:
-    """All relation templates for rank n, as rows of plain letters.
-
-    Four families are emitted, tagged 2.9 (braid relations), 2.10
-    (commuting squares), 2.11 (fourth power trivial) and 2.12 (square
-    twisted by conjugation).  Families 2.9, 2.10 and 2.12 range over
-    ordered pairs i != j; family 2.11 involves a single index and is
-    emitted once per i (so rank 1 still checks S_1^4).  Rows share their
-    letter tuples: the 2.9 and 2.10 sides at (j, i) are those at (i, j)
-    swapped, and the right side of 2.12 is a 2.10 word or S_j^2.  The
-    letters are written here, so they are not validated again.
-    """
-    if n < 1:
-        raise ValueError(f"rank must be at least 1, got {n}")
-    cox = CoxeterMatrix(n)
-    s = [(k, 1) for k in range(n + 1)]  # s[k] is the letter S_k
-    square = [(x, x) for x in s]
-    out = [("2.11", i, i, square[i] * 2, ()) for i in range(1, n + 1)]
-    sides = {}  # (i, j) with i < j -> m(i, j), the 2.9 and the 2.10 sides
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i < j:
-                m = cox.m(i, j)
-                braid = (s[i], s[j], s[i])[:m], (s[j], s[i], s[j])[:m]
-                squares = square[i] + square[j], square[j] + square[i]
-                sides[i, j] = m, braid, squares
-            elif i > j:
-                m, braid, squares = sides[j, i]
-                braid, squares = braid[::-1], squares[::-1]
-            else:
-                continue
-            out.append(("2.9", i, j, *braid))
-            out.append(("2.10", i, j, *squares))
-            # S_j^2 S_i^e with e = -2 <alpha_j, h_i>: 2 when m = 3, else 0
-            out.append(("2.12", i, j, (s[i], s[j], s[j], (i, -1)),
-                        squares[1] if m == 3 else square[j]))
-    return out
 
 
 def relation_instances(n: int) -> list[RelationInstance]:

@@ -15,9 +15,7 @@ import argparse
 import os
 import sys
 
-from .records import parse_scalar, scalar_to_str
-from .tits import (GroupElement, NotInNormalizer, TitsSection, monomial_word,
-                   normalizer_decompose)
+from .records import TitsSection, parse_scalar, scalar_to_str
 
 USAGE_ERROR = 2
 RELATION_ERROR = 1
@@ -51,8 +49,8 @@ _BOOL = ("false", "true")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # the algebra layer is loaded here, so the other subcommands skip it
-    from .autos import verify
+    # the int path is loaded here, so the other subcommands skip it
+    from .relations import verify
 
     if args.n < 1:
         print(f"error: rank must be at least 1, got {args.n}",
@@ -91,6 +89,7 @@ def cmd_eval_word(args: argparse.Namespace) -> int:
 
     from .braid import parse_word
     from .linalg import matrix_to_json
+    from .tits import monomial_word
 
     if _over_cap(args):
         return USAGE_ERROR
@@ -126,6 +125,7 @@ def cmd_normalizer_check(args: argparse.Namespace) -> int:
     import json
 
     from .linalg import matrix_from_json
+    from .tits import GroupElement, NotInNormalizer, normalizer_decompose
 
     try:
         with open(args.matrix, encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ Fraction with denominator 1 collapses to an int, so equality is plain
 structural equality.  ``canonical`` and ``parse_scalar`` are the only ways
 in, ``scalar_to_str`` the way out.  They live here, not in ``linalg``
 (which re-exports them), because every subcommand loads this module and
-``verify`` loads no dense matrix code.
+``verify`` loads no dense matrix code; ``TitsSection`` too.
 """
 
 from __future__ import annotations
@@ -143,3 +143,25 @@ def frozen(cls=None, *, hidden=()):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     return cls
+
+
+@frozen
+class TitsSection:
+    """Nonzero parameters a_1..a_n choosing one lift per braid generator."""
+
+    n: int
+    params: tuple[Scalar, ...]
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"rank must be at least 1, got {self.n}")
+        if len(self.params) != self.n:
+            raise ValueError(f"rank {self.n} needs {self.n} parameters")
+        params = tuple(canonical(a) for a in self.params)
+        object.__setattr__(self, "params", params)
+        if any(a == 0 for a in params):
+            raise ValueError("section parameters must be nonzero")
+
+    @classmethod
+    def ones(cls, n: int) -> TitsSection:
+        return cls(n, (1,) * n)

@@ -4,70 +4,19 @@ Roots live in coordinates over eps_1..eps_{n+1} (integer vectors whose
 entries sum to zero), so the Weyl group acts by permuting coordinates and
 reflections can be cross-checked against transpositions directly.  The
 group itself is realized as permutations of {1, .., n+1} in one-line
-notation.
+notation, as ``tits.Permutation``; importing roots loads no tits.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .records import frozen
 
 
-@frozen
-class Permutation:
-    """A bijection of {1, .., n_points}; images[k-1] = sigma(k)."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: "
-                             f"{self.images}")
-
-    @classmethod
-    def identity(cls, n_points: int) -> Permutation:
-        return cls(tuple(range(1, n_points + 1)))
-
-    @classmethod
-    def transposition(cls, n_points: int, i: int, j: int) -> Permutation:
-        if not (1 <= i <= n_points and 1 <= j <= n_points):
-            raise ValueError(f"transposition ({i} {j}) out of range")
-        images = list(range(1, n_points + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(tuple(images))
-
-    @property
-    def n_points(self) -> int:
-        return len(self.images)
-
-    def __call__(self, k: int) -> int:
-        return self.images[k - 1]
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        """Composition (self * other)(k) = self(other(k))."""
-        if self.n_points != other.n_points:
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.images[k - 1] for k in other.images))
-
-    def inverse(self) -> Permutation:
-        images = [0] * self.n_points
-        for k, image in enumerate(self.images, start=1):
-            images[image - 1] = k
-        return Permutation(tuple(images))
-
-    def is_identity(self) -> bool:
-        return all(image == k for k, image in enumerate(self.images, start=1))
-
-    def sign(self) -> int:
-        """+1 for even permutations, -1 for odd ones."""
-        inversions = sum(1 for a, b in itertools.combinations(self.images, 2)
-                         if a > b)
-        return -1 if inversions % 2 else 1
-
-    def __str__(self) -> str:
-        return "[" + " ".join(str(k) for k in self.images) + "]"
+def __getattr__(name: str):  # Permutation, read from tits on first use
+    if name != "Permutation":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .tits import Permutation
+    return Permutation
 
 
 @frozen
@@ -177,6 +126,7 @@ def transposition_word(i: int, j: int, n: int) -> tuple[int, ...]:
     >>> transposition_word(1, 3, 2)
     (1, 2, 1)
     """
+    from .tits import Permutation
     if not 1 <= i < j <= n + 1:
         raise ValueError(f"need 1 <= i < j <= {n + 1}, got ({i}, {j})")
     word = tuple(range(i, j)) + tuple(range(j - 2, i - 1, -1))

@@ -1,5 +1,5 @@
-"""The diagonal torus of the determinant-one group, its normalizer, and
-the monomial lifts of braid generators.
+"""The diagonal torus of the determinant-one group, its normalizer and
+their quotient (``Permutation``), and the monomial lifts of braid words.
 
 A section is a choice of nonzero parameters a_1..a_n; the i-th lift is the
 identity outside rows and columns {i, i+1} with the block
@@ -9,24 +9,24 @@ identity outside rows and columns {i, i+1} with the block
 
 which has determinant one and squares to the diagonal matrix with -1 at
 slots i and i+1.  A word is folded once, at a = 1, into a signed
-permutation; every section's value is a torus conjugate of it.  All is
-exact over the rationals; a root the rationals lack is reported, not
-approximated.
+permutation (``relations.letters_fold``); every section's value is a torus
+conjugate of it.  All is exact over the rationals; a root the rationals
+lack is reported, not approximated.  ``TitsSection`` lives in ``records``.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, Callable
 
-from .records import Scalar, canonical, frozen
+from .records import Scalar, TitsSection, canonical, frozen
 
 if TYPE_CHECKING:  # the dense and word types load only where they are built
-    from .braid import BraidWord, Letters
+    from .braid import BraidWord
     from .linalg import Matrix
-    from .roots import Permutation
 
 
 class NotInNormalizer(ValueError):
@@ -35,6 +35,62 @@ class NotInNormalizer(ValueError):
 
 class NoExactWitness(ValueError):
     """The conjugating torus element would need an irrational root."""
+
+
+@frozen
+class Permutation:
+    """A bijection of {1, .., n_points}; images[k-1] = sigma(k)."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
+        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(self.images)}: "
+                             f"{self.images}")
+
+    @classmethod
+    def identity(cls, n_points: int) -> Permutation:
+        return cls(tuple(range(1, n_points + 1)))
+
+    @classmethod
+    def transposition(cls, n_points: int, i: int, j: int) -> Permutation:
+        if not (1 <= i <= n_points and 1 <= j <= n_points):
+            raise ValueError(f"transposition ({i} {j}) out of range")
+        images = list(range(1, n_points + 1))
+        images[i - 1], images[j - 1] = j, i
+        return cls(tuple(images))
+
+    @property
+    def n_points(self) -> int:
+        return len(self.images)
+
+    def __call__(self, k: int) -> int:
+        return self.images[k - 1]
+
+    def __mul__(self, other: Permutation) -> Permutation:
+        """Composition (self * other)(k) = self(other(k))."""
+        if self.n_points != other.n_points:
+            raise ValueError("cannot compose permutations of different sizes")
+        return Permutation(tuple(self.images[k - 1] for k in other.images))
+
+    def inverse(self) -> Permutation:
+        images = [0] * self.n_points
+        for k, image in enumerate(self.images, start=1):
+            images[image - 1] = k
+        return Permutation(tuple(images))
+
+    def is_identity(self) -> bool:
+        return all(image == k for k, image in enumerate(self.images, start=1))
+
+    def sign(self) -> int:
+        """+1 for even permutations, -1 for odd ones."""
+        inversions = sum(1 for a, b in itertools.combinations(self.images, 2)
+                         if a > b)
+        return -1 if inversions % 2 else 1
+
+    def __str__(self) -> str:
+        return "[" + " ".join(str(k) for k in self.images) + "]"
 
 
 @frozen
@@ -67,28 +123,6 @@ class GroupElement:
         return GroupElement(self.m * other.m * self.m.inv())
 
 
-@frozen
-class TitsSection:
-    """Nonzero parameters a_1..a_n choosing one lift per braid generator."""
-
-    n: int
-    params: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"rank must be at least 1, got {self.n}")
-        if len(self.params) != self.n:
-            raise ValueError(f"rank {self.n} needs {self.n} parameters")
-        params = tuple(canonical(a) for a in self.params)
-        object.__setattr__(self, "params", params)
-        if any(a == 0 for a in params):
-            raise ValueError("section parameters must be nonzero")
-
-    @classmethod
-    def ones(cls, n: int) -> TitsSection:
-        return cls(n, (1,) * n)
-
-
 @lru_cache(maxsize=None)
 def sigma_generator(s: TitsSection, i: int) -> GroupElement:
     """The i-th monomial lift of the section s, as a dense matrix."""
@@ -106,31 +140,10 @@ def exp_construction(n: int, i: int) -> GroupElement:
     return GroupElement(exp_nilpotent(e) * exp_nilpotent(-f) * exp_nilpotent(e))
 
 
-def letters_fold(n: int) -> Callable[[Letters],
-                                     tuple[int, ...]]:
-    """The map taking the letters of a rank-n word to its value at a = 1.
-
-    The value is a signed permutation matrix, kept as one int per column:
-    +-(1-based row of its nonzero entry).  The letter step is where the
-    lift is written down: S_i^e swaps the 0-based columns j = i-1 and
-    k = i and signs them -e and e.  Column j of x * S is column sigma_S(j)
-    of x times S's j-th scale, so a letter moves two ints.  The letters
-    are not checked: they come from a BraidWord (see word_fold) or from
-    braid.relation_words.
-    """
-    identity = list(range(1, n + 2))
-
-    def fold(letters: Letters) -> tuple[int, ...]:
-        cols = identity.copy()
-        for i, e in letters:
-            cols[i - 1], cols[i] = -e * cols[i], e * cols[i - 1]
-        return tuple(cols)
-    return fold
-
-
 def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
     """The map taking a rank-n braid word to its value at a = 1: the
-    letters_fold of its letters, once its rank is checked."""
+    relations.letters_fold of its letters, once its rank is checked."""
+    from .relations import letters_fold
     fold = letters_fold(n)
 
     def fold_word(w: BraidWord) -> tuple[int, ...]:
@@ -149,7 +162,6 @@ def value_at(s: TitsSection, value: tuple[int, ...]) -> MonomialDecomposition:
     eps_j t_{sigma(j)} / t_j.  Conjugation is a bijection, so two words
     agree at a section exactly when they agree at a = 1.
     """
-    from .roots import Permutation
     if len(value) != s.n + 1:
         raise ValueError(f"rank mismatch: section {s.n} vs {len(value) - 1}")
     t = [Fraction(1)] * (s.n + 1)  # 0-based: t[k] = a_{k+1} ... a_n
@@ -219,7 +231,6 @@ def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:
     two nonzero entries; exactly the monomial matrices normalize the
     diagonal torus.
     """
-    from .roots import Permutation
     dim = x.dim
     images, scales = [], []
     for col in range(1, dim + 1):

@@ -7,15 +7,16 @@ from fractions import Fraction
 import pytest
 
 from titslift.autos import (AlgebraAutomorphism, RelationCheck,
-                            RelationReport, _adjoint_images, _combine,
-                            _tau_power, conjugation_automorphism,
-                            report_from_json, report_to_json, tau_generator,
-                            verify, verify_group_relations, verify_theorem1)
+                            RelationReport, _combine, _tau_power,
+                            conjugation_automorphism, report_from_json,
+                            report_to_json, tau_generator, verify,
+                            verify_group_relations, verify_theorem1)
 from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
                              basis_indices, bracket, decompose_by_cartan,
                              dimension, generator, slot)
 from titslift.linalg import Matrix, exp_nilpotent
+from titslift.relations import _adjoint_images
 from titslift.tits import (GroupElement, MonomialDecomposition, TitsSection,
                            monomial_word, sigma_generator, word_fold)
 
@@ -264,12 +265,12 @@ def test_sparse_and_dense_forms_agree():
 
 
 def _use_table(monkeypatch, table):
-    """Make the sweep read these instances: autos reads the relation
-    table as rows of plain letters through braid.relation_words."""
-    import titslift.autos as autos
+    """Make the sweep read these instances: relations.verify reads the
+    relation table as rows of plain letters through relation_words."""
+    import titslift.relations as relations
     rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
             for t in table]
-    monkeypatch.setattr(autos, "relation_words", lambda k: rows)
+    monkeypatch.setattr(relations, "relation_words", lambda k: rows)
 
 
 def _square_is_trivial(inst):
@@ -530,6 +531,19 @@ def test_report_json_round_trip():
         [(r.tag, r.i, r.j, r.passed) for r in rep.relations]
     with pytest.raises(ValueError):
         report_from_json({"n": 2})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("pass", "false"), ("pass", 0), ("pass", None), ("i", "x"), ("j", 1.0),
+    ("i", True), ("tag", 2.9), ("n", "two"), ("n", False)])
+def test_report_from_json_rejects_fields_of_the_wrong_type(field, value):
+    # the string "false" is truthy: read as a verdict, the report passed
+    row = {"tag": "2.9", "i": 1, "j": 2, "pass": True}
+    obj = {"n": 2, "relations": [row]}
+    assert report_from_json(obj).all_pass
+    (obj if field == "n" else row)[field] = value
+    with pytest.raises(ValueError):
+        report_from_json(obj)
 
 
 def test_report_all_pass_reflects_failures():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import titslift.autos as autos
+import titslift.relations as relations
 from titslift.braid import (BraidWord, RelationInstance,
                             relation_instances, relation_words)
 from titslift.cli import main
@@ -146,7 +147,7 @@ def test_verify_report_text_is_the_indented_json(tmp_path, capsys,
         if mutate is not None:
             rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
                     for t in map(mutate, relation_instances(n))]
-            monkeypatch.setattr(autos, "relation_words", lambda k: rows)
+            monkeypatch.setattr(relations, "relation_words", lambda k: rows)
         checks = ()
         if level != "group":
             checks += autos.verify_theorem1(n).relations
@@ -225,7 +226,6 @@ def test_normalizer_check_accepts_monomial(tmp_path, capsys):
 
 
 def test_normalizer_check_decomposes_once(tmp_path, capsys, monkeypatch):
-    import titslift.cli
     import titslift.tits
     calls = []
     original = titslift.tits.normalizer_decompose
@@ -234,8 +234,8 @@ def test_normalizer_check_decomposes_once(tmp_path, capsys, monkeypatch):
         calls.append(g)
         return original(g)
 
+    # cli reads normalizer_decompose from tits at call time
     monkeypatch.setattr(titslift.tits, "normalizer_decompose", counted)
-    monkeypatch.setattr(titslift.cli, "normalizer_decompose", counted)
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"dim": 3, "entries": [["0", "0", "1/2"],
                                                       ["-1", "0", "0"],
@@ -459,7 +459,7 @@ def test_verify_under_python_optimize_flag():
     # and a failing relation is still reported: S_i^2 = 1 for S_i^4 = 1
     mutated = """
 import sys
-import titslift.autos as autos
+import titslift.relations as relations
 from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.cli import main
 table = [inst if inst.tag != "2.11" else RelationInstance(
@@ -467,7 +467,7 @@ table = [inst if inst.tag != "2.11" else RelationInstance(
              inst.right)
          for inst in relation_instances(2)]
 rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters) for t in table]
-autos.relation_words = lambda k: rows
+relations.relation_words = lambda k: rows
 sys.exit(main(["verify", "--n", "2", "--level", "all"]))
 """
     proc = subprocess.run([sys.executable, "-O", "-c", mutated], env=env,
@@ -483,7 +483,7 @@ def test_verify_at_every_level_reads_the_relation_table_once(monkeypatch,
     def counted(n):
         calls.append(n)
         return relation_words(n)
-    monkeypatch.setattr(autos, "relation_words", counted)
+    monkeypatch.setattr(relations, "relation_words", counted)
     code, out, _ = run(capsys, ["verify", "--n", "5"])
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert calls == [5]

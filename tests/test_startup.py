@@ -55,36 +55,47 @@ def test_import_loads_no_submodule(tmp_path):
 
 
 GROUP_LEVEL = {"titslift", "titslift.cli", "titslift.records",
-               "titslift.tits", "titslift.linalg", "titslift.roots"}
+               "titslift.tits", "titslift.linalg"}
 
 
 @pytest.mark.parametrize("argv,package", [
     (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
-     GROUP_LEVEL | {"titslift.braid"}),
+     GROUP_LEVEL | {"titslift.braid", "titslift.relations"}),
     (["normalizer-check", "--matrix", "m.json"], GROUP_LEVEL),
 ], ids=["eval-word", "normalizer-check"])
 def test_light_subcommands_skip_the_algebra_layer(tmp_path, argv, package):
-    # normalizer-check reads a matrix, not a word, so it loads no braid
+    # normalizer-check reads a matrix, not a word, so it loads no braid and
+    # no relation table; Permutation lives in tits, so neither loads roots
     (tmp_path / "m.json").write_text(json.dumps(
         {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
     code, modules = _loaded(tmp_path, argv)
     assert code == 0
     assert {m for m in modules if m.startswith("titslift")} == package
-    assert not modules & {"titslift.autos", "titslift.liealg", "dataclasses"}
+    assert not modules & {"titslift.autos", "titslift.liealg",
+                          "titslift.roots", "dataclasses"}
 
 
 def test_verify_loads_the_algebra_layer(tmp_path):
-    # the sweeps fold plain letter rows into ints at every level: no root,
-    # no dense matrix, and only the operator code in autos needs liealg
+    # both levels read their verdicts off ints in relations: no braid
+    # word, no section lift, no root and no operator code is compiled
     for level in ("group", "adjoint", "all"):
         code, modules = _loaded(tmp_path, ["verify", "--n", "3", "--level",
                                            level, "--params=2,-1/3,5"])
         assert code == 0
         assert {m for m in modules if m.startswith("titslift")} == {
-            "titslift", "titslift.cli", "titslift.records", "titslift.tits",
-            "titslift.braid", "titslift.autos"}, level
-        assert not modules & {"titslift.roots", "titslift.linalg",
-                              "titslift.liealg", "json", "dataclasses"}
+            "titslift", "titslift.cli", "titslift.records",
+            "titslift.relations"}, level
+        assert not modules & {"json", "dataclasses"}
+
+
+def test_relations_imports_only_records_at_module_level():
+    # the int path stays a leaf: any other package import at the top of
+    # relations would be compiled by every verify call
+    tree = ast.parse((ROOT / "src" / "titslift" / "relations.py").read_text())
+    package = [(node.level, node.module) for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level]
+    assert package == [(1, "records")]
+    assert not [node for node in tree.body if isinstance(node, ast.Import)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -110,6 +121,36 @@ def test_public_names_resolve_to_their_home_modules():
         assert getattr(obj, "__module__", home) == home, name
 
 
+# old home -> (new home, names it re-exports)
+MOVED = {
+    "autos": ("relations", ("RelationCheck", "RelationReport", "verify")),
+    "braid": ("relations", ("CoxeterMatrix", "relation_words")),
+    "tits": ("records", ("TitsSection",)),
+    "roots": ("tits", ("Permutation",)),
+}
+
+
+@pytest.mark.parametrize("old", sorted(MOVED))
+def test_old_homes_reexport_without_loading_more(old):
+    home, names = MOVED[old]
+    for name in names:
+        assert getattr(importlib.import_module(f"titslift.{old}"), name) is \
+            getattr(importlib.import_module(f"titslift.{home}"), name)
+    # importing the old home loads no module it did not load before the
+    # move, apart from the new leaf relations (autos no longer loads braid)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, titslift.%s; print(sorted("
+         "m for m in sys.modules if m.startswith('titslift.')))" % old],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.split(".")[1] for m in ast.literal_eval(proc.stdout)}
+    assert loaded == {"autos": {"autos", "records", "relations", "tits"},
+                      "braid": {"braid", "records", "relations"},
+                      "tits": {"tits", "records"},
+                      "roots": {"roots", "records"}}[old]
+
+
 def test_star_import_and_dir_cover_all():
     namespace = {}
     exec("from titslift import *", namespace)
@@ -119,7 +160,7 @@ def test_star_import_and_dir_cover_all():
 
 def test_submodules_resolve_as_attributes():
     for name in ("autos", "braid", "cli", "liealg", "linalg", "records",
-                 "roots", "tits"):
+                 "relations", "roots", "tits"):
         assert getattr(titslift, name) is importlib.import_module(
             f"titslift.{name}")
 

@@ -9,6 +9,7 @@ import pytest
 
 from titslift.braid import BraidWord, natural_projection, parse_word
 from titslift.linalg import Matrix
+from titslift.relations import _adjoint_images, letters_fold
 from titslift.roots import Permutation
 from titslift.tits import (GroupElement, MonomialDecomposition,
                            NoExactWitness, NotInNormalizer, TitsSection,
@@ -284,17 +285,22 @@ def test_generic_and_section_verdicts_agree():
     assert outcomes == {True, False}
 
 
-def _fold_closure(n):
+def _fold_closure(n, fold=None):
     """Every fold value at rank n, reached breadth first by extending
-    words one letter at a time and folding each new word."""
-    fold, letters = word_fold(n), [(i, e) for i in range(1, n + 1)
-                                   for e in (1, -1)]
-    seen, frontier = {fold(BraidWord.empty(n))}, [()]
+    words one letter at a time and folding each new word: as a BraidWord
+    through word_fold, or as plain letters through fold when given."""
+    if fold is None:
+        word_value = word_fold(n)
+
+        def fold(letters):
+            return word_value(BraidWord(n, letters))
+    letters = [(i, e) for i in range(1, n + 1) for e in (1, -1)]
+    seen, frontier = {fold(())}, [()]
     while frontier:
         longer = []
         for word in frontier:
             for letter in letters:
-                value = fold(BraidWord(n, word + (letter,)))
+                value = fold(word + (letter,))
                 if value not in seen:
                     seen.add(value)
                     longer.append(word + (letter,))
@@ -312,6 +318,23 @@ def test_fold_values_are_the_extended_weyl_group():
             sigma = Permutation(tuple(abs(x) for x in value))
             signs = sum(x < 0 for x in value)
             assert sigma.sign() * (-1) ** signs == 1
+
+
+def test_adjoint_group_is_the_quotient_by_plus_minus_one_at_odd_rank():
+    # Ad(v) = Ad(w) exactly when v = +-w, so <tau_i> has one element per
+    # fold value up to sign.  -I has determinant (-1)^(n+1), so it is a
+    # fold value exactly when n is odd: there <tau_i> is the quotient of
+    # the lifts' group by +-I, of index 2, and at even n it is isomorphic
+    # to that group
+    for n in range(1, 6):
+        values = _fold_closure(n, letters_fold(n))
+        classes = {frozenset((v, tuple(-x for x in v))) for v in values}
+        order = 2 ** n * factorial(n + 1)
+        assert len(values) == order
+        assert len(classes) == (order // 2 if n % 2 else order), n
+        # the generator images tell the automorphisms apart
+        assert len({_adjoint_images(v) for v in values}) == len(classes)
+        assert (tuple(-k for k in range(1, n + 2)) in values) == (n % 2 == 1)
 
 
 def test_fold_rejects_words_of_another_rank():
