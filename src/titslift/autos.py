@@ -6,24 +6,21 @@ conjugation by the parameter-1 lift of the i-th braid generator, a
 monomial matrix, so it is built here in closed form from that lift's
 permutation and scales, as sparse columns.  The dense exp(ad) product
 stays available through ``liealg.ad_matrix`` and ``linalg.exp_nilpotent``
-as an independent check.  Only this operator code loads ``liealg``.
-The relation sweep builds no operator: ``verify`` and its records live in
-``relations``, re-exported here next to their JSON form.
+as an independent check.  The relation sweep builds no operator: this
+module holds the JSON form of the reports of ``relations.verify``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
+from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
+                     basis_matrix, dimension, slot)
+from .linalg import Matrix
 from .records import Scalar, TitsSection, canonical, frozen
-from .relations import RelationCheck, RelationReport, verify
+from .relations import _ADJOINT_TAG, RelationCheck, RelationReport, verify
 from .tits import GroupElement, monomial_lift
-
-if TYPE_CHECKING:  # the operator code loads these where it builds them
-    from .liealg import LieElement
-    from .linalg import Matrix
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
 
@@ -50,7 +47,6 @@ class AlgebraAutomorphism:
     cols: tuple[Column, ...]
 
     def __post_init__(self):
-        from .liealg import dimension
         d = dimension(self.n)
         if len(self.cols) != d:
             raise ValueError(
@@ -60,7 +56,6 @@ class AlgebraAutomorphism:
     @property
     def op(self) -> Matrix:
         """The operator as a dense d x d matrix."""
-        from .linalg import Matrix
         d = len(self.cols)
         rows = [[0] * d for _ in range(d)]
         for k, col in enumerate(self.cols):
@@ -69,7 +64,6 @@ class AlgebraAutomorphism:
         return Matrix(rows)
 
     def apply(self, x: LieElement) -> LieElement:
-        from .liealg import LieElement
         if x.n != self.n:
             raise ValueError(f"rank mismatch: {self.n} vs {x.n}")
         coords = _combine(self.cols, dict(enumerate(x.coords)))
@@ -87,7 +81,6 @@ def _tau_power(n: int, i: int, e: int) -> AlgebraAutomorphism:
     diagonal matrix E_{sigma(k), sigma(k)} - E_{sigma(k+1), sigma(k+1)},
     whose h-coordinates are its cumulative sums.
     """
-    from .liealg import Cartan, OffDiagonal, basis_indices, slot
     dec = monomial_lift(TitsSection.ones(n), i, e)
     sigma, s = dec.sigma, dec.scales
     cols = []
@@ -117,7 +110,6 @@ def tau_generator(n: int, i: int) -> AlgebraAutomorphism:
 
 def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
     """The operator x -> g x g^{-1} on trace-zero matrices."""
-    from .liealg import LieElement, basis_indices, basis_matrix
     if g.dim != n + 1:
         raise ValueError(f"group element dim {g.dim} does not match rank {n}")
     g_inv = g.m.inv()
@@ -139,8 +131,13 @@ def report_to_json(rep: RelationReport) -> dict:
     }
 
 
+_TAGS = {*_ADJOINT_TAG, *_ADJOINT_TAG.values()}  # the eight a sweep writes
+
+
 def report_from_json(obj: dict) -> RelationReport:
-    """The inverse of report_to_json; a field of the wrong type raises."""
+    """The inverse of report_to_json.  Only what a sweep can write is read
+    back: a field of the wrong type, a tag no family carries, an index
+    outside 1..n or an "all_pass" that contradicts the entries raises."""
     try:
         n, rels = obj["n"], tuple(
             RelationCheck(r["tag"], r["i"], r["j"], r["pass"])
@@ -152,7 +149,15 @@ def report_from_json(obj: dict) -> RelationReport:
             (type(r.tag), type(r.i), type(r.j), type(r.passed))
             != (str, int, int, bool) for r in rels):
         raise ValueError("report needs int n, i, j, a str tag, a bool pass")
-    return RelationReport(n, rels)
+    for r in rels:
+        if r.tag not in _TAGS:
+            raise ValueError(f"unknown relation tag {r.tag!r}")
+        if not (1 <= r.i <= n and 1 <= r.j <= n):
+            raise ValueError(f"indices ({r.i}, {r.j}) out of range 1..{n}")
+    report = RelationReport(n, rels)
+    if "all_pass" in obj and obj["all_pass"] is not report.all_pass:
+        raise ValueError("'all_pass' does not match the relations")
+    return report
 
 
 def verify_theorem1(n: int) -> RelationReport:

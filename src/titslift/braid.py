@@ -11,7 +11,8 @@ table is written in ``relations``; ``relation_instances`` views it here.
 from __future__ import annotations
 
 from .records import frozen
-from .relations import CoxeterMatrix, Letter, Letters, relation_words
+from .relations import Letter, Letters, relation_words
+from .tits import Permutation
 
 
 @frozen
@@ -99,7 +100,6 @@ def natural_projection(w: BraidWord) -> Permutation:
     Each S_i, with either exponent, maps to the adjacent transposition
     (i, i+1); letters compose left to right, matching matrix products.
     """
-    from .tits import Permutation
     images = list(range(1, w.n + 2))
     for i, _ in w.letters:
         images[i - 1], images[i] = images[i], images[i - 1]

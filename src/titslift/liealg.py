@@ -16,8 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Union
 
-from .linalg import Matrix, Scalar, canonical
-from .records import frozen
+from .linalg import Matrix
+from .records import Scalar, canonical, frozen
 
 
 @frozen

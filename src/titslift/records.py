@@ -17,9 +17,9 @@ import time; every CLI call is a fresh process and pays for that.
 A scalar is an int or a ``fractions.Fraction`` in canonical form: a
 Fraction with denominator 1 collapses to an int, so equality is plain
 structural equality.  ``canonical`` and ``parse_scalar`` are the only ways
-in, ``scalar_to_str`` the way out.  They live here, not in ``linalg``
-(which re-exports them), because every subcommand loads this module and
-``verify`` loads no dense matrix code; ``TitsSection`` too.
+in, ``scalar_to_str`` the way out.  They and ``TitsSection`` live here
+because every subcommand loads this module, and ``verify`` loads no
+dense matrix code.
 """
 
 from __future__ import annotations

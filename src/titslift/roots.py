@@ -4,19 +4,13 @@ Roots live in coordinates over eps_1..eps_{n+1} (integer vectors whose
 entries sum to zero), so the Weyl group acts by permuting coordinates and
 reflections can be cross-checked against transpositions directly.  The
 group itself is realized as permutations of {1, .., n+1} in one-line
-notation, as ``tits.Permutation``; importing roots loads no tits.
+notation, as ``tits.Permutation``.
 """
 
 from __future__ import annotations
 
 from .records import frozen
-
-
-def __getattr__(name: str):  # Permutation, read from tits on first use
-    if name != "Permutation":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .tits import Permutation
-    return Permutation
+from .tits import Permutation
 
 
 @frozen
@@ -126,7 +120,6 @@ def transposition_word(i: int, j: int, n: int) -> tuple[int, ...]:
     >>> transposition_word(1, 3, 2)
     (1, 2, 1)
     """
-    from .tits import Permutation
     if not 1 <= i < j <= n + 1:
         raise ValueError(f"need 1 <= i < j <= {n + 1}, got ({i}, {j})")
     word = tuple(range(i, j)) + tuple(range(j - 2, i - 1, -1))

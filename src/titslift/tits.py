@@ -11,7 +11,7 @@ which has determinant one and squares to the diagonal matrix with -1 at
 slots i and i+1.  A word is folded once, at a = 1, into a signed
 permutation (``relations.letters_fold``); every section's value is a torus
 conjugate of it.  All is exact over the rationals; a root the rationals
-lack is reported, not approximated.  ``TitsSection`` lives in ``records``.
+lack is reported, not approximated.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, Callable
 
+from .linalg import Matrix, exp_nilpotent
 from .records import Scalar, TitsSection, canonical, frozen
 
-if TYPE_CHECKING:  # the dense and word types load only where they are built
+if TYPE_CHECKING:  # braid imports Permutation from this module
     from .braid import BraidWord
-    from .linalg import Matrix
 
 
 class NotInNormalizer(ValueError):
@@ -109,7 +109,6 @@ class GroupElement:
 
     @classmethod
     def identity(cls, dim: int) -> GroupElement:
-        from .linalg import Matrix
         return cls(Matrix.identity(dim))
 
     def __mul__(self, other: GroupElement) -> GroupElement:
@@ -132,7 +131,6 @@ def sigma_generator(s: TitsSection, i: int) -> GroupElement:
 def exp_construction(n: int, i: int) -> GroupElement:
     """The all-ones lift as exp(e_i) exp(-f_i) exp(e_i), an independent
     construction that must agree with sigma_generator at parameter 1."""
-    from .linalg import Matrix, exp_nilpotent
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range 1..{n}")
     e = Matrix.unit(n + 1, i, i + 1)
@@ -143,7 +141,7 @@ def exp_construction(n: int, i: int) -> GroupElement:
 def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
     """The map taking a rank-n braid word to its value at a = 1: the
     relations.letters_fold of its letters, once its rank is checked."""
-    from .relations import letters_fold
+    from .relations import letters_fold  # normalizer-check loads no table
     fold = letters_fold(n)
 
     def fold_word(w: BraidWord) -> tuple[int, ...]:
@@ -205,7 +203,6 @@ class MonomialDecomposition:
             raise ValueError("monomial scales must be nonzero")
 
     def reconstruct(self) -> GroupElement:
-        from .linalg import Matrix
         dim = self.sigma.n_points
         rows = [[0] * dim for _ in range(dim)]
         for col in range(1, dim + 1):
@@ -220,7 +217,7 @@ def monomial_lift(s: TitsSection, i: int, e: int) -> MonomialDecomposition:
     >>> monomial_lift(TitsSection(2, (Fraction(2, 3), 5)), 1, 1).scales
     (Fraction(-3, 2), Fraction(2, 3), 1)
     """
-    from .braid import BraidWord
+    from .braid import BraidWord  # normalizer-check loads no braid
     return value_at(s, word_fold(s.n)(BraidWord(s.n, ((i, e),))))
 
 
@@ -258,7 +255,6 @@ def torus_generation_witness(x: GroupElement) -> list[GroupElement]:
     entries of x; the factors telescope back to x.  Over the rationals
     every nonzero P_i is allowed, so every such matrix factors exactly.
     """
-    from .linalg import Matrix
     if not x.m.is_diagonal():
         raise ValueError("matrix is not diagonal")
     dim = x.dim
@@ -323,7 +319,6 @@ def conjugation_witness(s: TitsSection, s2: TitsSection) -> GroupElement:
     the rationals hold no such root, NoExactWitness is raised.  For even
     n+1 the positive root is chosen.
     """
-    from .linalg import Matrix
     if s.n != s2.n:
         raise ValueError(f"rank mismatch: {s.n} vs {s2.n}")
     n = s.n

@@ -18,9 +18,9 @@ from titslift.autos import (conjugation_automorphism, tau_generator,
 from titslift.braid import BraidWord, is_pure, natural_projection
 from titslift.liealg import Cartan, OffDiagonal, decompose_by_cartan, generator
 from titslift.linalg import Matrix
-from titslift.roots import (Permutation, all_roots, pairing, reflect,
-                            simple_root, weyl_action)
-from titslift.tits import (GroupElement, NotInNormalizer, TitsSection,
+from titslift.records import TitsSection
+from titslift.roots import all_roots, pairing, reflect, simple_root, weyl_action
+from titslift.tits import (GroupElement, NotInNormalizer, Permutation,
                            conjugation_witness, coset_class, evaluate_word,
                            exp_construction, normalizer_decompose,
                            sigma_generator)

@@ -6,18 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from titslift.autos import (AlgebraAutomorphism, RelationCheck,
-                            RelationReport, _combine, _tau_power,
+from titslift.autos import (AlgebraAutomorphism, _combine, _tau_power,
                             conjugation_automorphism, report_from_json,
-                            report_to_json, tau_generator, verify,
+                            report_to_json, tau_generator,
                             verify_group_relations, verify_theorem1)
 from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
                              basis_indices, bracket, decompose_by_cartan,
                              dimension, generator, slot)
 from titslift.linalg import Matrix, exp_nilpotent
-from titslift.relations import _adjoint_images
-from titslift.tits import (GroupElement, MonomialDecomposition, TitsSection,
+from titslift.records import TitsSection
+from titslift.relations import (RelationCheck, RelationReport,
+                                _adjoint_images, verify)
+from titslift.tits import (GroupElement, MonomialDecomposition, Permutation,
                            monomial_word, sigma_generator, word_fold)
 
 # algebra-level tag -> group-level tag of the same relation family
@@ -72,7 +73,6 @@ def test_operator_permutes_root_lines_up_to_sign():
     # each off-diagonal basis matrix maps to plus or minus the one whose
     # indices are swapped by (i, i+1); diagonal elements stay diagonal
     # but may spread across several coroot coordinates
-    from titslift.roots import Permutation
     for n in (1, 2, 3):
         d = dimension(n)
         off = n * (n + 1)  # off-diagonal slots come first in the basis
@@ -155,9 +155,6 @@ def test_exponential_of_ad_is_conjugation_by_the_exponential():
     # the operator identity behind the previous test, one factor at a
     # time: exponentiating an inner derivation equals conjugating by the
     # exponential of the element itself
-    from titslift.liealg import ad_matrix
-    from titslift.linalg import exp_nilpotent
-    from titslift.tits import GroupElement
     for n in (1, 2, 3):
         for i in range(1, n + 1):
             for x in (generator(n, "e", i), -1 * generator(n, "f", i)):
@@ -170,7 +167,6 @@ def test_exponential_of_ad_is_conjugation_by_the_exponential():
 def test_conjugation_by_diagonal_fixes_cartan_coordinates():
     from fractions import Fraction
     from titslift.linalg import Matrix as M
-    from titslift.tits import GroupElement
     g = GroupElement(M.diagonal([2, Fraction(1, 4), 2]))
     conj = conjugation_automorphism(g, 2)
     for k in (1, 2):
@@ -444,7 +440,6 @@ def test_conjugation_is_a_homomorphism():
 
 
 def test_conjugation_dim_mismatch():
-    from titslift.tits import GroupElement
     with pytest.raises(ValueError):
         conjugation_automorphism(GroupElement.identity(4), 2)
 
@@ -478,13 +473,13 @@ def test_verify_theorem1_rank_one_has_only_the_order_relation():
 def test_generator_slots_are_built_once_per_rank(monkeypatch):
     # the images are read off the word's value, so the algebra sweep
     # never looks up a basis slot, nor builds an operator
-    import titslift.liealg as liealg
+    import titslift.autos as autos
     calls = []
 
     def counted(n, idx):
         calls.append(idx)
         return slot(n, idx)
-    monkeypatch.setattr(liealg, "slot", counted)
+    monkeypatch.setattr(autos, "slot", counted)
     _tau_power.cache_clear()
     assert verify_theorem1(4).all_pass
     assert calls == []
@@ -544,6 +539,33 @@ def test_report_from_json_rejects_fields_of_the_wrong_type(field, value):
     (obj if field == "n" else row)[field] = value
     with pytest.raises(ValueError):
         report_from_json(obj)
+
+
+def test_report_from_json_rejects_entries_no_sweep_writes():
+    # tag 9.9 and indices outside 1..n read back as a passing report
+    with pytest.raises(ValueError):
+        report_from_json({"n": 2, "relations": [
+            {"tag": "9.9", "i": 7, "j": -1, "pass": True}],
+            "all_pass": False})
+    row = {"tag": "2.9", "i": 1, "j": 2, "pass": True}
+    for bad in ({"tag": "0.3"}, {"tag": "2.9 "}, {"i": 0}, {"j": 3},
+                {"i": -1}):
+        with pytest.raises(ValueError):
+            report_from_json({"n": 2, "relations": [{**row, **bad}]})
+    for all_pass in (False, 1, "true", None):
+        with pytest.raises(ValueError):
+            report_from_json({"n": 2, "relations": [row],
+                              "all_pass": all_pass})
+    # a failing report round-trips with its all_pass
+    rep = verify(TitsSection.ones(2), "all")
+    failed = RelationReport(2, rep.relations[:-1] + (
+        RelationCheck(*(getattr(rep.relations[-1], f)
+                        for f in ("tag", "i", "j")), False),))
+    obj = report_to_json(failed)
+    assert obj["all_pass"] is False
+    assert report_from_json(obj) == failed
+    assert report_from_json({"n": 2, "relations": [row],
+                             "all_pass": True}).all_pass
 
 
 def test_report_all_pass_reflects_failures():

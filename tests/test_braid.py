@@ -6,10 +6,11 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from titslift.braid import (BraidWord, CoxeterMatrix, is_pure,
-                            natural_projection, parse_word,
-                            relation_instances, relation_words, word_to_text)
-from titslift.roots import Permutation, pairing, simple_root
+from titslift.braid import (BraidWord, is_pure, natural_projection,
+                            parse_word, relation_instances, word_to_text)
+from titslift.relations import CoxeterMatrix, letters_fold, relation_words
+from titslift.roots import pairing, simple_root
+from titslift.tits import Permutation
 
 
 def letters(n, max_len=10):
@@ -292,3 +293,31 @@ def test_relation_table_presents_the_extended_weyl_group():
         relators = {left + tuple((i, -e) for i, e in reversed(right))
                     for _, _, _, left, right in relation_words(n)}
         assert _coset_count(n, sorted(relators)) == 2 ** n * factorial(n + 1)
+
+
+def test_every_rank_reduces_to_the_rank_three_table():
+    # the finite check for every rank: each side of the row (tag, i, j)
+    # is +identity off the columns C = {i, i+1, j, j+1}, and restricted
+    # to C and relabelled in order it is the same side of the matching
+    # row at rank |C| - 1, which is 1, 2 or 3.  So the sweep at n <= 3
+    # decides 2.9-2.12 at every rank
+    small = {r: {row[:3]: row[3:] for row in relation_words(r)}
+             for r in (1, 2, 3)}
+    small_folds = {r: letters_fold(r) for r in (1, 2, 3)}
+    rows = 0
+    for n in range(1, 33):
+        fold = letters_fold(n)
+        for tag, i, j, *sides in relation_words(n):
+            cols = sorted({i, i + 1, j, j + 1})
+            label = {c: k for k, c in enumerate(cols, start=1)}
+            r = len(cols) - 1
+            sides_r = small[r][tag, label[i], label[j]]
+            for letters, letters_r in zip(sides, sides_r):
+                value = fold(letters)
+                assert all(value[c - 1] == c
+                           for c in range(1, n + 2) if c not in label)
+                restricted = tuple((1 if value[c - 1] > 0 else -1)
+                                   * label[abs(value[c - 1])] for c in cols)
+                assert restricted == small_folds[r](letters_r)
+            rows += 1
+    assert rows == sum(3 * n * n - 2 * n for n in range(1, 33))  # 33264

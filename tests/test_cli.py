@@ -13,11 +13,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import titslift.autos as autos
 import titslift.relations as relations
-from titslift.braid import (BraidWord, RelationInstance,
-                            relation_instances, relation_words)
+from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
-from titslift.tits import TitsSection
+from titslift.records import TitsSection
+from titslift.relations import relation_words
 
 
 def run(capsys, argv):
@@ -155,7 +155,7 @@ def test_verify_report_text_is_the_indented_json(tmp_path, capsys,
             checks += autos.verify_group_relations(
                 TitsSection(n, tuple(Fraction(a) for a in params[:n]))
             ).relations
-        report = autos.RelationReport(n, checks)
+        report = relations.RelationReport(n, checks)
         expected = json.dumps(autos.report_to_json(report), indent=2)
         assert report.all_pass or mutate is not None
         assert not report.all_pass or mutate is None or n < 2

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from titslift.linalg import (Matrix, NotNilpotentError, SingularMatrixError,
-                             canonical, exp_nilpotent, matrix_from_json,
-                             matrix_to_json, parse_scalar, scalar_to_str)
-from titslift.tits import TitsSection
+                             exp_nilpotent, matrix_from_json, matrix_to_json)
+from titslift.records import (TitsSection, canonical, parse_scalar,
+                              scalar_to_str)
 
 
 def test_canonical_collapses_integral_fractions():

@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 
 from titslift.braid import BraidWord
-from titslift.tits import TitsSection, monomial_word
+from titslift.records import TitsSection
+from titslift.tits import monomial_word
 
 ORACLE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 

@@ -10,12 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from titslift.autos import RelationCheck
-from titslift.braid import CoxeterMatrix
 from titslift.liealg import Cartan, OffDiagonal
-from titslift.records import frozen
-from titslift.roots import Permutation
-from titslift.tits import TitsSection, monomial_lift, sigma_generator
+from titslift.records import TitsSection, frozen
+from titslift.relations import CoxeterMatrix, RelationCheck
+from titslift.tits import Permutation, monomial_lift, sigma_generator
 
 
 def _both(hidden=()):

@@ -9,9 +9,9 @@ import itertools
 
 import pytest
 
-from titslift.roots import (Permutation, RootVector, all_roots, pairing,
-                            reflect, root, simple_root, transposition_word,
-                            weyl_action)
+from titslift.roots import (RootVector, all_roots, pairing, reflect, root,
+                            simple_root, transposition_word, weyl_action)
+from titslift.tits import Permutation
 
 
 def test_permutation_validation():

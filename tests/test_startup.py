@@ -121,34 +121,32 @@ def test_public_names_resolve_to_their_home_modules():
         assert getattr(obj, "__module__", home) == home, name
 
 
-# old home -> (new home, names it re-exports)
-MOVED = {
-    "autos": ("relations", ("RelationCheck", "RelationReport", "verify")),
-    "braid": ("relations", ("CoxeterMatrix", "relation_words")),
-    "tits": ("records", ("TitsSection",)),
-    "roots": ("tits", ("Permutation",)),
+# the only function-level package imports outside cli: each keeps a
+# module out of a subcommand's module set (see the tests above)
+LAZY_IMPORTS = {
+    ("relations", "verify", "tits"),     # verify compiles no tits
+    ("tits", "word_fold", "relations"),  # normalizer-check: no table
+    ("tits", "monomial_lift", "braid"),  # normalizer-check: no braid
 }
 
 
-@pytest.mark.parametrize("old", sorted(MOVED))
-def test_old_homes_reexport_without_loading_more(old):
-    home, names = MOVED[old]
-    for name in names:
-        assert getattr(importlib.import_module(f"titslift.{old}"), name) is \
-            getattr(importlib.import_module(f"titslift.{home}"), name)
-    # importing the old home loads no module it did not load before the
-    # move, apart from the new leaf relations (autos no longer loads braid)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, titslift.%s; print(sorted("
-         "m for m in sys.modules if m.startswith('titslift.')))" % old],
-        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded = {m.split(".")[1] for m in ast.literal_eval(proc.stdout)}
-    assert loaded == {"autos": {"autos", "records", "relations", "tits"},
-                      "braid": {"braid", "records", "relations"},
-                      "tits": {"tits", "records"},
-                      "roots": {"roots", "records"}}[old]
+def test_package_imports_sit_at_module_level():
+    lazy, getattrs = set(), []
+    for path in sorted((ROOT / "src" / "titslift").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem != "__init__":
+            getattrs += [(path.stem, node.name) for node in tree.body
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "__getattr__"]
+        if path.stem == "cli":  # imports per subcommand
+            continue
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                lazy |= {(path.stem, func.name, node.module)
+                         for node in ast.walk(func)
+                         if isinstance(node, ast.ImportFrom) and node.level}
+    assert lazy == LAZY_IMPORTS
+    assert getattrs == []
 
 
 def test_star_import_and_dir_cover_all():

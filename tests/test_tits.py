@@ -9,10 +9,10 @@ import pytest
 
 from titslift.braid import BraidWord, natural_projection, parse_word
 from titslift.linalg import Matrix
+from titslift.records import TitsSection
 from titslift.relations import _adjoint_images, letters_fold
-from titslift.roots import Permutation
 from titslift.tits import (GroupElement, MonomialDecomposition,
-                           NoExactWitness, NotInNormalizer, TitsSection,
+                           NoExactWitness, NotInNormalizer, Permutation,
                            conjugation_witness, coset_class, evaluate_word,
                            exp_construction, monomial_lift, monomial_word,
                            normalizer_decompose, rational_nth_root,
