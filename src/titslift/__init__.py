@@ -35,12 +35,12 @@ _EXPORTS = {
     "roots": (
         "RootVector", "all_roots", "pairing", "reflect", "root",
         "simple_root", "transposition_word", "weyl_action"),
+    "rows": ("NotInNormalizer",),
     "tits": (
         "GroupElement", "MonomialDecomposition", "NoExactWitness",
-        "NotInNormalizer", "Permutation", "conjugation_witness",
-        "coset_class", "evaluate_word", "exp_construction",
-        "normalizer_decompose", "rational_nth_root", "sigma_generator",
-        "torus_generation_witness"),
+        "Permutation", "conjugation_witness", "coset_class", "evaluate_word",
+        "exp_construction", "normalizer_decompose", "rational_nth_root",
+        "sigma_generator", "torus_generation_witness"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

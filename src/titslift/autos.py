@@ -19,7 +19,8 @@ from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
                      basis_matrix, dimension, slot)
 from .linalg import Matrix
 from .records import Scalar, TitsSection, canonical, frozen
-from .relations import _ADJOINT_TAG, RelationCheck, RelationReport, verify
+from .relations import (_ADJOINT_TAG, RelationCheck, RelationReport,
+                        relation_words, verify)
 from .tits import GroupElement, monomial_lift
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
@@ -137,7 +138,9 @@ _TAGS = {*_ADJOINT_TAG, *_ADJOINT_TAG.values()}  # the eight a sweep writes
 def report_from_json(obj: dict) -> RelationReport:
     """The inverse of report_to_json.  Only what a sweep can write is read
     back: a field of the wrong type, a tag no family carries, an index
-    outside 1..n or an "all_pass" that contradicts the entries raises."""
+    outside 1..n, an "all_pass" that contradicts the entries, or entries
+    that are not the rows of relation_words(n), each once, at every level
+    whose tags the document holds, raise."""
     try:
         n, rels = obj["n"], tuple(
             RelationCheck(r["tag"], r["i"], r["j"], r["pass"])
@@ -154,6 +157,17 @@ def report_from_json(obj: dict) -> RelationReport:
             raise ValueError(f"unknown relation tag {r.tag!r}")
         if not (1 <= r.i <= n and 1 <= r.j <= n):
             raise ValueError(f"indices ({r.i}, {r.j}) out of range 1..{n}")
+    keys = {(r.tag, r.i, r.j) for r in rels}
+    groups = {tag in _ADJOINT_TAG for tag, _, _ in keys}  # True: a group tag
+    # n rows of 2.11 and 3 per ordered pair i != j at each level, counted
+    # first, so that a large n builds no table for a short document
+    if not rels or len(rels) != len(keys) or \
+            len(keys) != len(groups) * (3 * n * n - 2 * n) or \
+            keys != {(tag if group else _ADJOINT_TAG[tag], i, j)
+                     for tag, i, j, _, _ in relation_words(n)
+                     for group in groups}:
+        raise ValueError(f"entries are not the rows of rank {n}, each once, "
+                         "at every level the document holds")
     report = RelationReport(n, rels)
     if "all_pass" in obj and obj["all_pass"] is not report.all_pass:
         raise ValueError("'all_pass' does not match the relations")

@@ -11,7 +11,8 @@ table is written in ``relations``; ``relation_instances`` views it here.
 from __future__ import annotations
 
 from .records import frozen
-from .relations import Letter, Letters, relation_words
+from .relations import (Letter, Letters, check_letter, parse_letters,
+                        relation_words, signed_letters)
 from .tits import Permutation
 
 
@@ -31,13 +32,7 @@ class BraidWord:
                 i, e = x
             except (TypeError, ValueError):
                 raise ValueError(f"letter {x!r} must be two ints") from None
-            if type(i) is not int or type(e) is not int:
-                raise ValueError(f"letter ({i!r}, {e!r}) must be two ints")
-            if not 1 <= i <= self.n:
-                raise ValueError(f"generator index {i} out of range 1..{self.n}")
-            if e not in (1, -1):
-                raise ValueError(f"exponent must be +1 or -1, got {e}")
-            letters.append((i, e))
+            letters.append(check_letter(self.n, i, e))
         object.__setattr__(self, "letters", tuple(letters))
 
     @classmethod
@@ -51,14 +46,7 @@ class BraidWord:
         >>> BraidWord.from_ints(2, [1, 2, -1]).letters
         ((1, 1), (2, 1), (1, -1))
         """
-        letters = []
-        for v in signed:
-            if type(v) is not int:  # a bool is not a generator index
-                raise ValueError(f"letter {v!r} must be an int")
-            if v == 0:
-                raise ValueError("0 is not a generator index")
-            letters.append((abs(v), 1 if v > 0 else -1))
-        return cls(n, tuple(letters))
+        return cls(n, signed_letters(n, signed))
 
     def to_ints(self) -> tuple[int, ...]:
         return tuple(i * e for i, e in self.letters)
@@ -83,11 +71,7 @@ class BraidWord:
 
 def parse_word(n: int, text: str) -> BraidWord:
     """Parse the whitespace-separated signed-integer format, e.g. "1 2 -1"."""
-    try:
-        signed = [int(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse word {text!r}") from exc
-    return BraidWord.from_ints(n, signed)
+    return BraidWord(n, parse_letters(n, text))
 
 
 def word_to_text(w: BraidWord) -> str:

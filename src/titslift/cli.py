@@ -3,7 +3,8 @@
 Three subcommands: ``verify`` runs the relation sweep for one rank and
 emits a JSON report, ``eval-word`` evaluates a braid word as a monomial
 matrix and shows its decomposition, ``normalizer-check`` tests whether a
-matrix read from JSON normalizes the diagonal torus.
+matrix read from JSON normalizes the diagonal torus.  The last two run
+on plain ints and scalars: they load no braid word and no matrix class.
 
 Exit codes: 0 when everything passed, 1 when a relation failed or the
 matrix was not in the normalizer, 2 on usage or input errors.
@@ -11,7 +12,6 @@ matrix was not in the normalizer, 2 on usage or input errors.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -20,9 +20,14 @@ from .records import TitsSection, parse_scalar, scalar_to_str
 USAGE_ERROR = 2
 RELATION_ERROR = 1
 MAX_RANK = 32
-MAX_RANK_HELP = f"refuse ranks above this (default {MAX_RANK})"
-PARAMS_HELP = ("section parameters, integers or p/q, default all 1; "
-               "attach a negative first one with =, as in --params=-2,3")
+USAGE = f"""\
+usage: titslift verify --n N [--level group|adjoint|all] [--params A]
+                       [--json PATH] [--max-rank K]
+       titslift eval-word --n N --word "i j -k" [--params A] [--max-rank K]
+       titslift normalizer-check --matrix PATH
+A is the section a1,...,aN, integers or p/q (default all 1); ranks above
+K (default {MAX_RANK}) are refused.
+"""
 
 
 def _parse_params(n: int, text: str | None) -> TitsSection:
@@ -34,10 +39,10 @@ def _parse_params(n: int, text: str | None) -> TitsSection:
     return TitsSection(n, tuple(parse_scalar(p) for p in parts))
 
 
-def _over_cap(args: argparse.Namespace) -> bool:
-    if args.n <= args.max_rank:
+def _over_cap(n: int, max_rank: int) -> bool:
+    if n <= max_rank:
         return False
-    print(f"error: rank {args.n} exceeds cap {args.max_rank}; "
+    print(f"error: rank {n} exceeds cap {max_rank}; "
           "raise it with --max-rank", file=sys.stderr)
     return True
 
@@ -48,33 +53,33 @@ _CHECK = ('    {{\n      "tag": "{}",\n      "i": {},\n      "j": {},\n'
 _BOOL = ("false", "true")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(n: int, level: str, params: str | None,
+               report_path: str | None, max_rank: int) -> int:
     # the int path is loaded here, so the other subcommands skip it
     from .relations import verify
 
-    if args.n < 1:
-        print(f"error: rank must be at least 1, got {args.n}",
-              file=sys.stderr)
+    if n < 1:
+        print(f"error: rank must be at least 1, got {n}", file=sys.stderr)
         return USAGE_ERROR
-    if _over_cap(args):
+    if _over_cap(n, max_rank):
         return USAGE_ERROR
     try:
-        section = _parse_params(args.n, args.params)
+        section = _parse_params(n, params)
     except ValueError as exc:
         print(f"error: bad --params: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    report = verify(section, args.level)
+    report = verify(section, level)
 
     # json.dumps(report_to_json(report), indent=2) written directly, as
     # json's indented encoder is pure Python: verify never loads json
     body = ",\n".join(_CHECK.format(r.tag, r.i, r.j, _BOOL[r.passed])
                        for r in report.relations)
-    text = (f'{{\n  "n": {args.n},\n  "relations": [\n{body}\n  ],\n'
+    text = (f'{{\n  "n": {n},\n  "relations": [\n{body}\n  ],\n'
             f'  "all_pass": {_BOOL[report.all_pass]}\n}}')
-    if args.json:
+    if report_path:
         try:
-            with open(args.json, "w", encoding="utf-8") as fh:
+            with open(report_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
@@ -84,127 +89,151 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else RELATION_ERROR
 
 
-def cmd_eval_word(args: argparse.Namespace) -> int:
+def cmd_eval_word(n: int, word: str, params: str | None,
+                  max_rank: int) -> int:
     import json
 
-    from .braid import parse_word
-    from .linalg import matrix_to_json
-    from .tits import monomial_word
+    from .relations import letters_fold, parse_letters, scales_at
 
-    if _over_cap(args):
+    if _over_cap(n, max_rank):
         return USAGE_ERROR
     try:
-        section = _parse_params(args.n, args.params)
-        word = parse_word(args.n, args.word)
+        section = _parse_params(n, params)
+        letters = parse_letters(n, word)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    value = monomial_word(section, word)
-    # the word's permutation is its projection to the symmetric group
-    sigma = value.sigma
+    # the value at a = 1 moved to the section: column j holds scales[j]
+    # in row images[j], and the images are the word's projection
+    value = letters_fold(n)(letters)
+    images = [abs(x) for x in value]
     try:
-        payload = {
-            "n": args.n,
-            "word": args.word.strip(),
-            "matrix": matrix_to_json(value.reconstruct().m),
-            "permutation": list(sigma.images),
-            "scales": [scalar_to_str(x) for x in value.scales],
-            "projection": list(sigma.images),
-            "pure": sigma.is_identity(),
-        }
+        scales = [scalar_to_str(x) for x in scales_at(section, value)]
     except ValueError as exc:
         # a scale longer than Python's int-to-str limit (4300 digits)
         print(f"error: result too large to print: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    print(json.dumps(payload, indent=2))
+    entries = [["0"] * (n + 1) for _ in images]
+    for col, (row, x) in enumerate(zip(images, scales)):
+        entries[row - 1][col] = x
+    print(json.dumps({
+        "n": n,
+        "word": word.strip(),
+        "matrix": {"dim": n + 1, "entries": entries},
+        "permutation": images,
+        "scales": scales,
+        "projection": images,
+        "pure": images == sorted(images),
+    }, indent=2))
     return 0
 
 
-def cmd_normalizer_check(args: argparse.Namespace) -> int:
+def cmd_normalizer_check(matrix_path: str) -> int:
     import json
 
-    from .linalg import matrix_from_json
-    from .tits import GroupElement, NotInNormalizer, normalizer_decompose
+    from .rows import (NotInNormalizer, determinant, monomial_columns,
+                       rows_from_json)
 
     try:
-        with open(args.matrix, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        m = matrix_from_json(obj)
+        with open(matrix_path, encoding="utf-8") as fh:
+            rows = rows_from_json(json.load(fh))
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read matrix: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if determinant(rows) != 1:
+        print("error: matrix does not have determinant 1", file=sys.stderr)
+        return USAGE_ERROR
     try:
-        g = GroupElement(m)
+        # one nonzero per column and determinant one: a permutation
+        images, scales = monomial_columns(rows)
+    except NotInNormalizer as exc:
+        print(json.dumps({"in_normalizer": False, "reason": str(exc)}))
+        return RELATION_ERROR
+    print(json.dumps({
+        "in_normalizer": True,
+        "permutation": images,
+        "scales": [scalar_to_str(x) for x in scales],
+        "coset": images,
+    }, indent=2))
+    return 0
+
+
+def _help() -> int:
+    print(USAGE, end="")
+    return 0
+
+
+def _level(text: str) -> str:
+    if text not in ("group", "adjoint", "all"):
+        raise ValueError(text)
+    return text
+
+
+REQUIRED = object()  # the default of an option that must be given
+_N = ("n", int, REQUIRED)
+_PARAMS = ("params", str, None)
+_MAX_RANK = ("max_rank", int, MAX_RANK)
+# subcommand -> (function, option -> (keyword, converter, default))
+COMMANDS = {
+    "verify": (cmd_verify, {
+        "--n": _N, "--level": ("level", _level, "all"), "--params": _PARAMS,
+        "--json": ("report_path", str, None), "--max-rank": _MAX_RANK}),
+    "eval-word": (cmd_eval_word, {
+        "--n": _N, "--word": ("word", str, REQUIRED), "--params": _PARAMS,
+        "--max-rank": _MAX_RANK}),
+    "normalizer-check": (cmd_normalizer_check, {
+        "--matrix": ("matrix_path", str, REQUIRED)}),
+}
+
+
+def parse_args(argv: list[str]):
+    """(function, keyword arguments) for a command line, read by COMMANDS:
+    --opt value or --opt=value, each option at most once, and a known
+    option takes the next argument as its value even if it starts with
+    "-".  Anything else raises ValueError with a one-line message."""
+    if not argv:
+        raise ValueError(f"missing subcommand: {', '.join(COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        if command in ("-h", "--help"):
+            return _help, {}
+        raise ValueError(f"unknown subcommand {command!r}")
+    func, options = COMMANDS[command]
+    kwargs = {key: default for key, _, default in options.values()}
+    seen = set()
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help, {}
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise ValueError(f"{command}: unrecognized argument {token!r}")
+        if name in seen:
+            raise ValueError(f"{name} given twice")
+        seen.add(name)
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"{name} needs a value")
+        key, convert, _ = options[name]
+        try:
+            kwargs[key] = convert(value)
+        except ValueError:
+            raise ValueError(f"invalid {name} value {value!r}") from None
+    for name, (key, _, _) in options.items():
+        if kwargs[key] is REQUIRED:
+            raise ValueError(f"{command} needs {name}")
+    return func, kwargs
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        func, kwargs = parse_args(sys.argv[1:] if argv is None else argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        dec = normalizer_decompose(g)
-    except NotInNormalizer as exc:
-        print(json.dumps({"in_normalizer": False, "reason": str(exc)}))
-        return RELATION_ERROR
-    payload = {
-        "in_normalizer": True,
-        "permutation": list(dec.sigma.images),
-        "scales": [scalar_to_str(x) for x in dec.scales],
-        "coset": list(dec.sigma.images),
-    }
-    print(json.dumps(payload, indent=2))
-    return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="titslift",
-        description="verify braid-lift relations and decompose monomial "
-                    "matrices, all in exact rational arithmetic")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser(
-        "verify", help="run the relation sweep for one rank")
-    p_verify.add_argument("--n", type=int, required=True, help="rank")
-    p_verify.add_argument("--level", choices=("group", "adjoint", "all"),
-                          default="all",
-                          help="which family of relations to check")
-    p_verify.add_argument("--params", default=None, metavar="a1,a2,...",
-                          help=PARAMS_HELP)
-    p_verify.add_argument("--json", default=None, metavar="PATH",
-                          help="write the report here instead of stdout")
-    p_verify.add_argument("--max-rank", type=int, default=MAX_RANK,
-                          help=MAX_RANK_HELP)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_eval = sub.add_parser(
-        "eval-word", help="evaluate a braid word as a monomial matrix")
-    p_eval.add_argument("--n", type=int, required=True, help="rank")
-    p_eval.add_argument("--word", required=True, metavar='"i j -k"',
-                        help="signed generator indices")
-    p_eval.add_argument("--params", default=None, metavar="a1,a2,...",
-                        help=PARAMS_HELP)
-    p_eval.add_argument("--max-rank", type=int, default=MAX_RANK,
-                        help=MAX_RANK_HELP)
-    p_eval.set_defaults(func=cmd_eval_word)
-
-    p_norm = sub.add_parser(
-        "normalizer-check",
-        help="test whether a matrix normalizes the diagonal torus")
-    p_norm.add_argument("--matrix", required=True, metavar="PATH",
-                        help="matrix JSON file")
-    p_norm.set_defaults(func=cmd_normalizer_check)
-
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize anything else
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
-        code = args.func(args)
+        code = func(**kwargs)
         sys.stdout.flush()
     except (MemoryError, OverflowError):
         # a rank past a raised --max-rank, too long for any list: an input

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Iterable
 
 # the scalars live in records, which every subcommand loads
-from .records import Scalar, canonical, parse_scalar, scalar_to_str
+from .records import Scalar, canonical, scalar_to_str
+from .rows import determinant, rows_from_json
 
 
 class SingularMatrixError(ZeroDivisionError):
@@ -123,25 +124,8 @@ class Matrix:
         return tuple(self.rows[i][i] for i in range(self.dim))
 
     def det(self) -> Scalar:
-        """Exact determinant by Gaussian elimination with nonzero pivots."""
-        n = self.dim
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prod: Scalar = 1
-        for c in range(n):
-            pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if pivot_row is None:
-                return 0
-            if pivot_row != c:
-                a[c], a[pivot_row] = a[pivot_row], a[c]
-                sign = -sign
-            pivot = a[c][c]
-            prod *= pivot
-            for r in range(c + 1, n):
-                if a[r][c] != 0:
-                    m = Fraction(a[r][c]) / pivot
-                    a[r] = [x - m * y for x, y in zip(a[r], a[c])]
-        return canonical(sign * prod)
+        """Exact determinant, by rows.determinant."""
+        return determinant(self.rows)
 
     def inv(self) -> Matrix:
         """Exact inverse by Gauss-Jordan elimination.
@@ -198,14 +182,5 @@ def matrix_to_json(a: Matrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> Matrix:
-    try:
-        dim = obj["dim"]
-        entries = obj["entries"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError("matrix JSON needs 'dim' and 'entries'") from exc
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise ValueError(f"matrix JSON dim must be an integer, got {dim!r}")
-    if not isinstance(entries, list) or len(entries) != dim or any(
-            not isinstance(row, list) or len(row) != dim for row in entries):
-        raise ValueError("matrix JSON entries do not match dim")
-    return Matrix([[parse_scalar(x) for x in row] for row in entries])
+    """The matrix of the JSON object form, read by rows.rows_from_json."""
+    return Matrix(rows_from_json(obj))

@@ -1,5 +1,7 @@
 """The relation table as rows of plain letters, and ``verify``, which
-checks it at both levels on ints and imports only ``records``.
+checks it at both levels on ints and imports only ``records``; also the
+plain word arithmetic ``eval-word`` runs: letters read and checked, folded
+at a = 1 and moved to a section.
 
 Each side of a row is folded once into its value at a = 1, a signed
 permutation.  Every section's lifts are one torus conjugate of those at
@@ -12,9 +14,10 @@ sends e_k to s_k s_{k+1} E_{sigma(k), sigma(k+1)}, f_k to the transpose.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable
 
-from .records import TitsSection, frozen
+from .records import Scalar, TitsSection, canonical, frozen
 
 Letter = tuple[int, int]  # (generator index, exponent +1 or -1)
 Letters = tuple[Letter, ...]
@@ -76,6 +79,39 @@ def relation_words(n: int) -> list[RelationRow]:
     return out
 
 
+def check_letter(n: int, i: object, e: object) -> Letter:
+    """The letter S_i^e of a rank-n word: i in 1..n, e = +1 or -1."""
+    if type(i) is not int or type(e) is not int:
+        raise ValueError(f"letter ({i!r}, {e!r}) must be two ints")
+    if not 1 <= i <= n:
+        raise ValueError(f"generator index {i} out of range 1..{n}")
+    if e not in (1, -1):
+        raise ValueError(f"exponent must be +1 or -1, got {e}")
+    return i, e
+
+
+def parse_letters(n: int, text: str) -> Letters:
+    """The checked letters of a rank-n word written as "1 2 -1"."""
+    try:
+        signed = [int(tok) for tok in text.split()]
+    except ValueError as exc:
+        raise ValueError(f"cannot parse word {text!r}") from exc
+    return signed_letters(n, signed)
+
+
+def signed_letters(n: int, signed) -> Letters:
+    """The checked letters of a rank-n word given as signed indices, -k
+    for S_k^-1."""
+    letters = []
+    for v in signed:
+        if type(v) is not int:  # a bool is not a generator index
+            raise ValueError(f"letter {v!r} must be an int")
+        if v == 0:
+            raise ValueError("0 is not a generator index")
+        letters.append(check_letter(n, abs(v), 1 if v > 0 else -1))
+    return tuple(letters)
+
+
 def letters_fold(n: int) -> Callable[[Letters], tuple[int, ...]]:
     """The map taking the letters of a rank-n word to its value at a = 1.
 
@@ -84,8 +120,8 @@ def letters_fold(n: int) -> Callable[[Letters], tuple[int, ...]]:
     lift is written down: S_i^e swaps the 0-based columns j = i-1 and
     k = i and signs them -e and e.  Column j of x * S is column sigma_S(j)
     of x times S's j-th scale, so a letter moves two ints.  The letters
-    are not checked: they come from a BraidWord (see tits.word_fold) or
-    from relation_words.
+    are not checked here: they come from check_letter, from
+    parse_letters or from relation_words.
     """
     identity = list(range(1, n + 2))
 
@@ -95,6 +131,24 @@ def letters_fold(n: int) -> Callable[[Letters], tuple[int, ...]]:
             cols[i - 1], cols[i] = -e * cols[i], e * cols[i - 1]
         return tuple(cols)
     return fold
+
+
+def scales_at(s: TitsSection, value: tuple[int, ...]) -> list[Scalar]:
+    """The column scales of a value at a = 1 moved to the section s.
+
+    With t_k = a_k a_{k+1} ... a_n (t_{n+1} = 1), diag(t) S_i(1) diag(t)^-1
+    is S_i(a), so every word has S_w(a) = diag(t) S_w(1) diag(t)^-1 (Tits):
+    column j keeps its row sigma(j) and gets the scale
+    eps_j t_{sigma(j)} / t_j.  Conjugation is a bijection, so two words
+    agree at a section exactly when they agree at a = 1.
+    """
+    if len(value) != s.n + 1:
+        raise ValueError(f"rank mismatch: section {s.n} vs {len(value) - 1}")
+    t = [Fraction(1)] * (s.n + 1)  # 0-based: t[k] = a_{k+1} ... a_n
+    for k in reversed(range(s.n)):
+        t[k] = s.params[k] * t[k + 1]
+    return [canonical((1 if x > 0 else -1) * t[abs(x) - 1] / t[j])
+            for j, x in enumerate(value)]
 
 
 @frozen(hidden=("left", "right"))

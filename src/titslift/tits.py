@@ -24,13 +24,11 @@ from typing import TYPE_CHECKING, Callable
 
 from .linalg import Matrix, exp_nilpotent
 from .records import Scalar, TitsSection, canonical, frozen
+from .relations import check_letter, letters_fold, scales_at
+from .rows import NotInNormalizer, monomial_columns
 
 if TYPE_CHECKING:  # braid imports Permutation from this module
     from .braid import BraidWord
-
-
-class NotInNormalizer(ValueError):
-    """The matrix is not monomial, so it does not normalize the torus."""
 
 
 class NoExactWitness(ValueError):
@@ -141,7 +139,6 @@ def exp_construction(n: int, i: int) -> GroupElement:
 def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
     """The map taking a rank-n braid word to its value at a = 1: the
     relations.letters_fold of its letters, once its rank is checked."""
-    from .relations import letters_fold  # normalizer-check loads no table
     fold = letters_fold(n)
 
     def fold_word(w: BraidWord) -> tuple[int, ...]:
@@ -152,22 +149,10 @@ def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
 
 
 def value_at(s: TitsSection, value: tuple[int, ...]) -> MonomialDecomposition:
-    """A value at a = 1 moved to the section s, validated once.
-
-    With t_k = a_k a_{k+1} ... a_n (t_{n+1} = 1), diag(t) S_i(1) diag(t)^-1
-    is S_i(a), so every word has S_w(a) = diag(t) S_w(1) diag(t)^-1 (Tits):
-    column j keeps its row sigma(j) and gets the scale
-    eps_j t_{sigma(j)} / t_j.  Conjugation is a bijection, so two words
-    agree at a section exactly when they agree at a = 1.
-    """
-    if len(value) != s.n + 1:
-        raise ValueError(f"rank mismatch: section {s.n} vs {len(value) - 1}")
-    t = [Fraction(1)] * (s.n + 1)  # 0-based: t[k] = a_{k+1} ... a_n
-    for k in reversed(range(s.n)):
-        t[k] = s.params[k] * t[k + 1]
-    return MonomialDecomposition(Permutation(tuple(map(abs, value))), tuple(
-        (1 if x > 0 else -1) * t[abs(x) - 1] / t[j]
-        for j, x in enumerate(value)))
+    """A value at a = 1 moved to the section s (relations.scales_at, which
+    states the torus conjugation), validated once."""
+    return MonomialDecomposition(Permutation(tuple(map(abs, value))),
+                                 tuple(scales_at(s, value)))
 
 
 def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
@@ -212,13 +197,12 @@ class MonomialDecomposition:
 
 def monomial_lift(s: TitsSection, i: int, e: int) -> MonomialDecomposition:
     """S_i^e at the section s, for e = +1 or -1: the one-letter word's
-    value, so the shape is written once, in word_fold's letter step.
+    value, so the shape is written once, in letters_fold's letter step.
 
     >>> monomial_lift(TitsSection(2, (Fraction(2, 3), 5)), 1, 1).scales
     (Fraction(-3, 2), Fraction(2, 3), 1)
     """
-    from .braid import BraidWord  # normalizer-check loads no braid
-    return value_at(s, word_fold(s.n)(BraidWord(s.n, ((i, e),))))
+    return value_at(s, letters_fold(s.n)((check_letter(s.n, i, e),)))
 
 
 def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:
@@ -226,17 +210,9 @@ def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:
 
     Raises NotInNormalizer when any row or column has zero or at least
     two nonzero entries; exactly the monomial matrices normalize the
-    diagonal torus.
+    diagonal torus.  The scan is rows.monomial_columns.
     """
-    dim = x.dim
-    images, scales = [], []
-    for col in range(1, dim + 1):
-        hits = [row for row in range(1, dim + 1) if x.m[row, col] != 0]
-        if len(hits) != 1:
-            raise NotInNormalizer(
-                f"column {col} has {len(hits)} nonzero entries")
-        images.append(hits[0])
-        scales.append(x.m[hits[0], col])
+    images, scales = monomial_columns(x.m.rows)
     # one nonzero per column and determinant one: the rows are distinct
     return MonomialDecomposition(Permutation(tuple(images)), tuple(scales))
 

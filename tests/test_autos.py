@@ -528,13 +528,18 @@ def test_report_json_round_trip():
         report_from_json({"n": 2})
 
 
+def _group_report(n):
+    """The JSON document of a passing group-level sweep at rank n."""
+    return report_to_json(verify(TitsSection.ones(n), "group"))
+
+
 @pytest.mark.parametrize("field,value", [
     ("pass", "false"), ("pass", 0), ("pass", None), ("i", "x"), ("j", 1.0),
     ("i", True), ("tag", 2.9), ("n", "two"), ("n", False)])
 def test_report_from_json_rejects_fields_of_the_wrong_type(field, value):
     # the string "false" is truthy: read as a verdict, the report passed
-    row = {"tag": "2.9", "i": 1, "j": 2, "pass": True}
-    obj = {"n": 2, "relations": [row]}
+    obj = _group_report(2)
+    row = obj["relations"][0]
     assert report_from_json(obj).all_pass
     (obj if field == "n" else row)[field] = value
     with pytest.raises(ValueError):
@@ -547,15 +552,15 @@ def test_report_from_json_rejects_entries_no_sweep_writes():
         report_from_json({"n": 2, "relations": [
             {"tag": "9.9", "i": 7, "j": -1, "pass": True}],
             "all_pass": False})
-    row = {"tag": "2.9", "i": 1, "j": 2, "pass": True}
     for bad in ({"tag": "0.3"}, {"tag": "2.9 "}, {"i": 0}, {"j": 3},
                 {"i": -1}):
+        obj = _group_report(2)
+        obj["relations"][0].update(bad)
         with pytest.raises(ValueError):
-            report_from_json({"n": 2, "relations": [{**row, **bad}]})
+            report_from_json(obj)
     for all_pass in (False, 1, "true", None):
         with pytest.raises(ValueError):
-            report_from_json({"n": 2, "relations": [row],
-                              "all_pass": all_pass})
+            report_from_json(dict(_group_report(2), all_pass=all_pass))
     # a failing report round-trips with its all_pass
     rep = verify(TitsSection.ones(2), "all")
     failed = RelationReport(2, rep.relations[:-1] + (
@@ -564,8 +569,35 @@ def test_report_from_json_rejects_entries_no_sweep_writes():
     obj = report_to_json(failed)
     assert obj["all_pass"] is False
     assert report_from_json(obj) == failed
-    assert report_from_json({"n": 2, "relations": [row],
-                             "all_pass": True}).all_pass
+    assert report_from_json(_group_report(2)).all_pass
+
+
+def test_report_from_json_reads_back_only_the_rows_of_a_sweep():
+    # each row is valid on its own, but 2.9 needs i != j, 2.11 needs
+    # i == j, and no sweep writes a row twice
+    row = {"tag": "2.11", "i": 1, "j": 2, "pass": True}
+    with pytest.raises(ValueError, match="rows of rank 2"):
+        report_from_json({"n": 2, "relations": [
+            {"tag": "2.9", "i": 1, "j": 1, "pass": True}, row, row],
+            "all_pass": True})
+    with pytest.raises(ValueError, match="rows of rank 2"):
+        report_from_json({"n": 2, "relations": [], "all_pass": True})
+    for n in (2, 3):
+        for level in ("group", "adjoint", "all"):
+            obj = report_to_json(verify(TitsSection.ones(n), level))
+            assert report_from_json(obj).n == n
+            rows = obj["relations"]
+            # a row dropped, a row repeated in its place, a row moved to
+            # the other level, or one level's rows cut short
+            other = {**PAIR_TAGS, **{g: a for a, g in PAIR_TAGS.items()}}
+            for changed in (rows[1:], rows[:-1] + rows[:1],
+                            rows[:-1] + [{**rows[-1],
+                                          "tag": other[rows[-1]["tag"]]}]):
+                with pytest.raises(ValueError, match=f"rows of rank {n}"):
+                    report_from_json({"n": n, "relations": changed})
+    # a rank no table could hold is refused by the count, not built
+    with pytest.raises(ValueError, match="rows of rank"):
+        report_from_json({"n": 10 ** 9, "relations": [row]})
 
 
 def test_report_all_pass_reflects_failures():

@@ -1,9 +1,12 @@
 """Command-line behavior: exit codes, JSON payloads, file handling."""
 
 import io
+import itertools
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,11 +16,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import titslift.autos as autos
 import titslift.relations as relations
-from titslift.braid import BraidWord, RelationInstance, relation_instances
+from titslift.braid import (BraidWord, RelationInstance, parse_word,
+                            relation_instances)
 from titslift.cli import main
-from titslift.linalg import Matrix, matrix_to_json
-from titslift.records import TitsSection
+from titslift.linalg import Matrix, matrix_from_json, matrix_to_json
+from titslift.records import TitsSection, parse_scalar, scalar_to_str
 from titslift.relations import relation_words
+from titslift.rows import NotInNormalizer
+from titslift.tits import GroupElement, monomial_word, normalizer_decompose
 
 
 def run(capsys, argv):
@@ -226,16 +232,16 @@ def test_normalizer_check_accepts_monomial(tmp_path, capsys):
 
 
 def test_normalizer_check_decomposes_once(tmp_path, capsys, monkeypatch):
-    import titslift.tits
+    import titslift.rows
     calls = []
-    original = titslift.tits.normalizer_decompose
+    original = titslift.rows.monomial_columns
 
-    def counted(g):
-        calls.append(g)
-        return original(g)
+    def counted(rows):
+        calls.append(rows)
+        return original(rows)
 
-    # cli reads normalizer_decompose from tits at call time
-    monkeypatch.setattr(titslift.tits, "normalizer_decompose", counted)
+    # cli reads the column scan from rows at call time
+    monkeypatch.setattr(titslift.rows, "monomial_columns", counted)
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"dim": 3, "entries": [["0", "0", "1/2"],
                                                       ["-1", "0", "0"],
@@ -278,6 +284,164 @@ def test_normalizer_check_input_errors(tmp_path, capsys):
     code, _, _ = run(capsys, ["normalizer-check", "--matrix",
                               str(tmp_path / "missing.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["no-such-command"], ["--n", "2"],
+    ["verify"], ["verify", "--level", "group"],
+    ["eval-word", "--n", "2"], ["eval-word", "--word", "1"],
+    ["normalizer-check"],
+    ["verify", "--n", "2", "--bogus", "1"], ["verify", "--n", "2", "extra"],
+    ["eval-word", "--n", "2", "--word", "1", "--json", "r.json"],
+    ["normalizer-check", "--matrix", "m.json", "--n", "2"],
+    ["verify", "--n"], ["verify", "--n", "2", "--params"],
+    ["eval-word", "--n", "2", "--word"], ["normalizer-check", "--matrix"],
+    ["verify", "--n", "two"], ["verify", "--n", "2.0"], ["verify", "--n="],
+    ["verify", "--n", "2", "--max-rank", "x"],
+    ["eval-word", "--n", "2", "--word", "1", "--max-rank=1.5"],
+    ["verify", "--n", "2", "--level", "both"],
+    ["verify", "--n", "2", "--level=Group"],
+    ["verify", "--n", "2", "--n", "3"], ["verify", "--n=2", "--n=2"],
+    ["eval-word", "--n", "2", "--word", "1", "--word", "2"],
+], ids=lambda argv: " ".join(argv) or "no-subcommand")
+def test_usage_errors_take_one_line(capsys, argv):
+    # one "error: " line on stderr, exit 2, nothing on stdout
+    code, out, err = run(capsys, argv)
+    _assert_input_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["verify", "--help"], ["eval-word", "-h"],
+    ["normalizer-check", "--matrix", "m.json", "--help"],
+])
+def test_help_prints_the_usage_and_exits_zero(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: titslift verify --n N")
+    for command in ("verify", "eval-word", "normalizer-check"):
+        assert f"titslift {command} " in out
+
+
+def test_params_may_start_with_a_minus(capsys):
+    # a known option takes the next argument as its value, whatever it
+    # starts with, so "--params -2,3" is "--params=-2,3"
+    for command in (["verify", "--level", "group"],
+                    ["eval-word", "--word", "1 -2 1"]):
+        spaced = run(capsys, command + ["--n", "2", "--params", "-2,3"])
+        attached = run(capsys, command + ["--n", "2", "--params=-2,3"])
+        assert spaced == attached
+        assert spaced[0] == 0 and spaced[2] == ""
+    code, out, _ = run(capsys, ["eval-word", "--n", "1", "--word", "-1",
+                                "--params", "-2/3"])
+    assert code == 0
+    # S_1^-1 at a_1 = -2/3 is ((0, -a_1), (1/a_1, 0))
+    assert json.loads(out)["scales"] == ["-3/2", "2/3"]
+
+
+def _eval_word_by_objects(n, text, params):
+    """eval-word's stdout, built from the braid word, its monomial value
+    and the dense matrix JSON."""
+    s = TitsSection(n, tuple(parse_scalar(a) for a in params))
+    value = monomial_word(s, parse_word(n, text))
+    images = list(value.sigma.images)
+    return json.dumps({
+        "n": n, "word": text.strip(),
+        "matrix": matrix_to_json(value.reconstruct().m),
+        "permutation": images,
+        "scales": [scalar_to_str(x) for x in value.scales],
+        "projection": images, "pure": value.sigma.is_identity(),
+    }, indent=2) + "\n"
+
+
+def _leibniz_det(rows):
+    """The determinant as the signed sum over all permutations."""
+    total = 0
+    for p in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        total += (-1) ** inversions * math.prod(
+            rows[r][c] for c, r in enumerate(p))
+    return total
+
+
+def _normalizer_check_by_objects(obj):
+    """normalizer-check's exit code and stdout from the dense matrix and
+    normalizer_decompose; None for a determinant other than 1, which is
+    taken by the Leibniz sum, and the decomposition is checked by
+    rebuilding the matrix from it."""
+    m = matrix_from_json(obj)
+    if _leibniz_det(m.rows) != 1:
+        return None
+    g = GroupElement(m)
+    try:
+        dec = normalizer_decompose(g)
+    except NotInNormalizer as exc:
+        return 1, json.dumps({"in_normalizer": False, "reason": str(exc)}) \
+            + "\n"
+    assert dec.reconstruct().m == m
+    images = list(dec.sigma.images)
+    return 0, json.dumps({
+        "in_normalizer": True, "permutation": images,
+        "scales": [scalar_to_str(x) for x in dec.scales], "coset": images,
+    }, indent=2) + "\n"
+
+
+def _random_scalar(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+def test_eval_word_prints_what_the_object_layer_computes(capsys):
+    # the plain path against the braid word, the monomial value and the
+    # dense matrix JSON it replaced
+    rng = random.Random(211)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        text = " ".join(str(rng.choice((-1, 1)) * rng.randint(1, n))
+                        for _ in range(rng.randint(0, 30)))
+        params = [scalar_to_str(_random_scalar(rng)) for _ in range(n)]
+        argv = ["eval-word", "--n", str(n), "--word", f" {text} ",
+                "--params=" + ",".join(params)]
+        assert run(capsys, argv) == (
+            0, _eval_word_by_objects(n, f" {text} ", params), "")
+
+
+def test_normalizer_check_prints_what_the_object_layer_computes(tmp_path,
+                                                                 capsys):
+    # monomial matrices of determinant 1, the same times 1 + c E_kl (not
+    # monomial, determinant 1), and sparse random ones (determinant
+    # mostly not 1)
+    rng = random.Random(223)
+    seen = set()
+    for trial in range(90):
+        dim = rng.randint(1, 6)
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        scales = [_random_scalar(rng) for _ in range(dim)]
+        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        for col, row in enumerate(perm):
+            rows[row][col] = scales[col]
+        rows[perm[0]][0] /= Matrix(rows).det()
+        if trial % 3 == 1 and dim > 1:
+            k, l = rng.sample(range(dim), 2)
+            c = _random_scalar(rng)
+            for r in range(dim):
+                rows[r][l] += c * rows[r][k]
+        elif trial % 3 == 2:
+            rows = [[_random_scalar(rng) if rng.random() < 0.4 else 0
+                     for _ in range(dim)] for _ in range(dim)]
+        obj = {"dim": dim,
+               "entries": [[scalar_to_str(x) for x in row] for row in rows]}
+        path = _write_matrix(tmp_path, obj["entries"])
+        code, out, err = run(capsys, ["normalizer-check", "--matrix", path])
+        expected = _normalizer_check_by_objects(obj)
+        if expected is None:
+            _assert_input_error(code, err)
+            assert out == ""
+            seen.add(2)
+        else:
+            assert (code, out, err) == (*expected, "")
+            seen.add(code)
+    assert seen == {0, 1, 2}
 
 
 def test_usage_error_exit_code(capsys):

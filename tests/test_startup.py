@@ -54,25 +54,26 @@ def test_import_loads_no_submodule(tmp_path):
     assert "dataclasses" not in modules
 
 
-GROUP_LEVEL = {"titslift", "titslift.cli", "titslift.records",
-               "titslift.tits", "titslift.linalg"}
+# imported by argparse, which the hand-written option table replaced
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv,package", [
     (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
-     GROUP_LEVEL | {"titslift.braid", "titslift.relations"}),
-    (["normalizer-check", "--matrix", "m.json"], GROUP_LEVEL),
+     {"titslift", "titslift.cli", "titslift.records", "titslift.relations"}),
+    (["normalizer-check", "--matrix", "m.json"],
+     {"titslift", "titslift.cli", "titslift.records", "titslift.rows"}),
 ], ids=["eval-word", "normalizer-check"])
 def test_light_subcommands_skip_the_algebra_layer(tmp_path, argv, package):
-    # normalizer-check reads a matrix, not a word, so it loads no braid and
-    # no relation table; Permutation lives in tits, so neither loads roots
+    # both run on plain data: eval-word folds letters into ints as verify
+    # does, and normalizer-check scans plain rows, so neither compiles a
+    # braid word, a section lift, a dense matrix or a root
     (tmp_path / "m.json").write_text(json.dumps(
         {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
     code, modules = _loaded(tmp_path, argv)
     assert code == 0
     assert {m for m in modules if m.startswith("titslift")} == package
-    assert not modules & {"titslift.autos", "titslift.liealg",
-                          "titslift.roots", "dataclasses"}
+    assert not modules & (ARGPARSE | {"dataclasses"})
 
 
 def test_verify_loads_the_algebra_layer(tmp_path):
@@ -85,17 +86,29 @@ def test_verify_loads_the_algebra_layer(tmp_path):
         assert {m for m in modules if m.startswith("titslift")} == {
             "titslift", "titslift.cli", "titslift.records",
             "titslift.relations"}, level
-        assert not modules & {"json", "dataclasses"}
+        assert not modules & (ARGPARSE | {"json", "dataclasses"})
+
+
+def _top_level_imports(module):
+    tree = ast.parse((ROOT / "src" / "titslift" / f"{module}.py").read_text())
+    package = [(node.level, node.module) for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level]
+    plain = [node for node in tree.body if isinstance(node, ast.Import)]
+    return package, plain
 
 
 def test_relations_imports_only_records_at_module_level():
     # the int path stays a leaf: any other package import at the top of
-    # relations would be compiled by every verify call
-    tree = ast.parse((ROOT / "src" / "titslift" / "relations.py").read_text())
-    package = [(node.level, node.module) for node in tree.body
-               if isinstance(node, ast.ImportFrom) and node.level]
-    assert package == [(1, "records")]
-    assert not [node for node in tree.body if isinstance(node, ast.Import)]
+    # relations would be compiled by every verify and eval-word call
+    assert _top_level_imports("relations") == ([(1, "records")], [])
+
+
+def test_rows_imports_only_records_at_module_level():
+    # normalizer-check's plain rows stay a small leaf of their own, out of
+    # verify's and eval-word's module sets
+    assert _top_level_imports("rows") == ([(1, "records")], [])
+    assert len((ROOT / "src" / "titslift" / "rows.py").read_text()
+               .splitlines()) <= 80
 
 
 @pytest.mark.parametrize("argv", [
@@ -121,12 +134,10 @@ def test_public_names_resolve_to_their_home_modules():
         assert getattr(obj, "__module__", home) == home, name
 
 
-# the only function-level package imports outside cli: each keeps a
-# module out of a subcommand's module set (see the tests above)
+# the only function-level package import outside cli: it keeps tits out
+# of verify's module set (see the tests above)
 LAZY_IMPORTS = {
-    ("relations", "verify", "tits"),     # verify compiles no tits
-    ("tits", "word_fold", "relations"),  # normalizer-check: no table
-    ("tits", "monomial_lift", "braid"),  # normalizer-check: no braid
+    ("relations", "verify", "tits"),  # verify compiles no tits
 }
 
 
@@ -158,7 +169,7 @@ def test_star_import_and_dir_cover_all():
 
 def test_submodules_resolve_as_attributes():
     for name in ("autos", "braid", "cli", "liealg", "linalg", "records",
-                 "relations", "roots", "tits"):
+                 "relations", "roots", "rows", "tits"):
         assert getattr(titslift, name) is importlib.import_module(
             f"titslift.{name}")
 

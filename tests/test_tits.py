@@ -1,15 +1,22 @@
 """Lifts, the torus, and the normalizer: block shapes, monomial
 decomposition, coset bookkeeping, and the two witness constructions."""
 
+import contextlib
+import io
+import json
+import math
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from titslift.braid import BraidWord, natural_projection, parse_word
-from titslift.linalg import Matrix
-from titslift.records import TitsSection
+from titslift.braid import (BraidWord, natural_projection, parse_word,
+                            word_to_text)
+from titslift.cli import main
+from titslift.linalg import Matrix, matrix_to_json
+from titslift.records import TitsSection, scalar_to_str
 from titslift.relations import _adjoint_images, letters_fold
 from titslift.tits import (GroupElement, MonomialDecomposition,
                            NoExactWitness, NotInNormalizer, Permutation,
@@ -242,6 +249,33 @@ def test_generic_value_at_random_sections_is_the_dense_product():
                            for _ in range(5000)))
     s = random_section(rng, 3)
     assert value_at(s, word_fold(3)(w)).reconstruct().m == _dense_product(s, w)
+
+
+WORDS_AND_SECTIONS = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(1, n), st.sampled_from((1, -1))),
+             max_size=30).map(lambda letters: BraidWord(n, tuple(letters))),
+    st.lists(st.fractions(-9, 9, max_denominator=9).filter(bool),
+             min_size=n, max_size=n).map(
+        lambda params: TitsSection(n, tuple(params)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(WORDS_AND_SECTIONS)
+def test_eval_word_prints_the_dense_product_of_determinant_one(case):
+    # eval-word computes no determinant: its value has sign(sigma) times
+    # the product of its scales equal to 1, as the dense product does,
+    # and the matrix it prints is that dense product
+    w, s = case
+    dense = _dense_product(s, w)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval-word", "--n", str(s.n), "--word", word_to_text(w),
+                     "--params=" + ",".join(map(scalar_to_str, s.params))])
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    sign = Permutation(tuple(payload["permutation"])).sign()
+    assert sign * math.prod(map(Fraction, payload["scales"])) == 1 == dense.det()
+    assert payload["matrix"] == matrix_to_json(dense)
 
 
 def test_value_at_a_section_is_the_torus_conjugate_of_the_value_at_one():
