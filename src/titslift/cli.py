@@ -25,8 +25,12 @@ usage: titslift verify --n N [--level group|adjoint|all] [--params A]
                        [--json PATH] [--max-rank K]
        titslift eval-word --n N --word "i j -k" [--params A] [--max-rank K]
        titslift normalizer-check --matrix PATH
-A is the section a1,...,aN, integers or p/q (default all 1); ranks above
-K (default {MAX_RANK}) are refused.
+verify checks every relation of rank N and writes a JSON report; eval-word
+evaluates a braid word as a monomial matrix; normalizer-check tests whether
+the matrix in a JSON file normalizes the diagonal torus.  A is the section
+a1,...,aN, integers or p/q (default all 1); ranks above K (default
+{MAX_RANK}) are refused.  An option takes its value as the next argument
+or after "=".
 """
 
 

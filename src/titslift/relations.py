@@ -99,7 +99,7 @@ def parse_letters(n: int, text: str) -> Letters:
     return signed_letters(n, signed)
 
 
-def signed_letters(n: int, signed) -> Letters:
+def signed_letters(n: int, signed: list[int] | tuple[int, ...]) -> Letters:
     """The checked letters of a rank-n word given as signed indices, -k
     for S_k^-1."""
     letters = []

@@ -274,7 +274,8 @@ def test_eval_word_prints_the_dense_product_of_determinant_one(case):
     assert code == 0
     payload = json.loads(out.getvalue())
     sign = Permutation(tuple(payload["permutation"])).sign()
-    assert sign * math.prod(map(Fraction, payload["scales"])) == 1 == dense.det()
+    scales = map(Fraction, payload["scales"])
+    assert sign * math.prod(scales) == 1 == dense.det()
     assert payload["matrix"] == matrix_to_json(dense)
 
 
