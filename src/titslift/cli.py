@@ -199,34 +199,33 @@ def parse_args(argv: list[str]):
     if not argv:
         raise ValueError(f"missing subcommand: {', '.join(COMMANDS)}")
     command, tokens = argv[0], iter(argv[1:])
+    if command in ("-h", "--help"):
+        return _help, {}
     if command not in COMMANDS:
-        if command in ("-h", "--help"):
-            return _help, {}
         raise ValueError(f"unknown subcommand {command!r}")
     func, options = COMMANDS[command]
-    kwargs = {key: default for key, _, default in options.values()}
-    seen = set()
+    kwargs = {}
     for token in tokens:
         if token in ("-h", "--help"):
             return _help, {}
         name, eq, value = token.partition("=")
         if name not in options:
             raise ValueError(f"{command}: unrecognized argument {token!r}")
-        if name in seen:
+        key, convert, _ = options[name]
+        if key in kwargs:
             raise ValueError(f"{name} given twice")
-        seen.add(name)
         if not eq:
             value = next(tokens, None)
             if value is None:
                 raise ValueError(f"{name} needs a value")
-        key, convert, _ = options[name]
         try:
             kwargs[key] = convert(value)
         except ValueError:
             raise ValueError(f"invalid {name} value {value!r}") from None
-    for name, (key, _, _) in options.items():
-        if kwargs[key] is REQUIRED:
+    for name, (key, _, default) in options.items():
+        if key not in kwargs and default is REQUIRED:
             raise ValueError(f"{command} needs {name}")
+        kwargs.setdefault(key, default)
     return func, kwargs
 
 

@@ -101,13 +101,11 @@ def parse_letters(n: int, text: str) -> Letters:
 
 def signed_letters(n: int, signed: list[int] | tuple[int, ...]) -> Letters:
     """The checked letters of a rank-n word given as signed indices, -k
-    for S_k^-1."""
+    for S_k^-1; 0 is out of range like any index outside 1..n."""
     letters = []
     for v in signed:
         if type(v) is not int:  # a bool is not a generator index
             raise ValueError(f"letter {v!r} must be an int")
-        if v == 0:
-            raise ValueError("0 is not a generator index")
         letters.append(check_letter(n, abs(v), 1 if v > 0 else -1))
     return tuple(letters)
 

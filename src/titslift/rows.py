@@ -7,18 +7,19 @@ the determinant, and the column scan that splits a monomial matrix.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .records import Scalar, canonical, parse_scalar
 
-Rows = list[list[Scalar]]
+Rows = Sequence[Sequence[Scalar]]  # a Matrix's rows, or lists read from JSON
 
 
 class NotInNormalizer(ValueError):
     """The matrix is not monomial, so it does not normalize the torus."""
 
 
-def rows_from_json(obj: dict) -> Rows:
+def rows_from_json(obj: dict) -> list[list[Scalar]]:
     """The rows of {"dim": n, "entries": [[...], ...]}, every entry read
     by records.parse_scalar; any other shape raises ValueError."""
     try:
@@ -36,7 +37,7 @@ def rows_from_json(obj: dict) -> Rows:
     return [[parse_scalar(x) for x in row] for row in entries]
 
 
-def determinant(rows) -> Scalar:
+def determinant(rows: Rows) -> Scalar:
     """Exact determinant by Gaussian elimination with nonzero pivots."""
     n = len(rows)
     a = [list(row) for row in rows]
@@ -58,7 +59,7 @@ def determinant(rows) -> Scalar:
     return canonical(sign * prod)
 
 
-def monomial_columns(rows) -> tuple[list[int], list[Scalar]]:
+def monomial_columns(rows: Rows) -> tuple[list[int], list[Scalar]]:
     """(images, scales): column j's single nonzero entry scales[j-1] sits
     in row images[j-1], 1-based.  Raises NotInNormalizer when a column has
     none or several; exactly the monomial matrices normalize the torus."""

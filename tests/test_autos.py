@@ -587,10 +587,10 @@ def test_report_from_json_reads_back_only_the_rows_of_a_sweep():
             obj = report_to_json(verify(TitsSection.ones(n), level))
             assert report_from_json(obj).n == n
             rows = obj["relations"]
-            # a row dropped, a row repeated in its place, a row moved to
-            # the other level, or one level's rows cut short
+            # a row dropped, a row repeated in its place or on top, or a
+            # row moved to the other level
             other = {**PAIR_TAGS, **{g: a for a, g in PAIR_TAGS.items()}}
-            for changed in (rows[1:], rows[:-1] + rows[:1],
+            for changed in (rows[1:], rows[:-1] + rows[:1], rows + rows[:1],
                             rows[:-1] + [{**rows[-1],
                                           "tag": other[rows[-1]["tag"]]}]):
                 with pytest.raises(ValueError, match=f"rows of rank {n}"):

@@ -485,6 +485,16 @@ def test_normalizer_check_rejects_boolean_entry(tmp_path, capsys):
     assert out == ""
 
 
+def test_normalizer_check_rejects_empty_matrix(tmp_path, capsys):
+    # the empty product is 1, so an empty matrix would pass the
+    # determinant check and split into an empty permutation
+    code, out, err = run(capsys, ["normalizer-check", "--matrix",
+                                  _write_matrix(tmp_path, [])])
+    _assert_input_error(code, err)
+    assert "nonempty" in err
+    assert out == ""
+
+
 def test_normalizer_check_rejects_boolean_dim(tmp_path, capsys):
     # True == 1, so a boolean dim used to pass the size check
     path = tmp_path / "m.json"

@@ -175,9 +175,9 @@ def test_monomial_lift_times_its_inverse_is_the_identity():
             prod = monomial_word(s, BraidWord(n, ((i, 1), (i, -1))))
             assert prod.sigma.is_identity()
             assert prod.scales == (1,) * (n + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exponent must be"):
         monomial_lift(TitsSection.ones(2), 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         monomial_lift(TitsSection.ones(2), 3, 1)
 
 
