@@ -54,7 +54,7 @@ def test_import_loads_no_submodule(tmp_path):
     assert "dataclasses" not in modules
 
 
-# imported by argparse, which the hand-written option table replaced
+# argparse and what it imports: cli reads its options from its own table
 ARGPARSE = {"argparse", "gettext", "locale"}
 
 
