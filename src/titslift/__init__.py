@@ -10,8 +10,6 @@ submodule, is imported on first access (PEP 562), so a CLI call compiles
 only the modules its subcommand runs.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -30,12 +28,12 @@ _EXPORTS = {
         "Matrix", "NotNilpotentError", "SingularMatrixError",
         "exp_nilpotent", "matrix_from_json", "matrix_to_json"),
     "records": ("TitsSection", "canonical", "scalar_to_str"),
-    "relations": (
-        "CoxeterMatrix", "RelationCheck", "RelationReport", "relation_words"),
+    "relations": ("CoxeterMatrix", "RelationCheck", "RelationReport"),
     "roots": (
         "RootVector", "all_roots", "pairing", "reflect", "root",
         "simple_root", "transposition_word", "weyl_action"),
     "rows": ("NotInNormalizer",),
+    "sweep": ("relation_words",),
     "tits": (
         "GroupElement", "MonomialDecomposition", "NoExactWitness",
         "Permutation", "conjugation_witness", "coset_class", "evaluate_word",
@@ -44,12 +42,13 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "normalizer"}
 
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
+    from importlib import import_module  # here, so no CLI call loads it
     if name in _SUBMODULES:
         return import_module(f"{__name__}.{name}")
     if name not in _HOME:

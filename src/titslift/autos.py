@@ -19,8 +19,8 @@ from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
                      basis_matrix, dimension, slot)
 from .linalg import Matrix
 from .records import Scalar, TitsSection, canonical, frozen
-from .relations import (_ADJOINT_TAG, RelationCheck, RelationReport,
-                        relation_words, verify)
+from .relations import RelationCheck, RelationReport, verify
+from .sweep import ADJOINT_TAG, relation_words
 from .tits import GroupElement, monomial_lift
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
@@ -150,12 +150,12 @@ def report_from_json(obj: dict) -> RelationReport:
             != (str, int, int, bool) for r in rels):
         raise ValueError("report needs int n, i, j, a str tag, a bool pass")
     keys = {(r.tag, r.i, r.j) for r in rels}
-    groups = {tag in _ADJOINT_TAG for tag, _, _ in keys}  # True: a group tag
+    groups = {tag in ADJOINT_TAG for tag, _, _ in keys}  # True: a group tag
     # n rows of 2.11 and 3 per ordered pair i != j at each level, counted
     # first, so that a large n builds no table for a short document
     if not rels or len(rels) != len(keys) or \
             len(keys) != len(groups) * (3 * n * n - 2 * n) or \
-            keys != {(tag if group else _ADJOINT_TAG[tag], i, j)
+            keys != {(tag if group else ADJOINT_TAG[tag], i, j)
                      for tag, i, j, _, _ in relation_words(n)
                      for group in groups}:
         raise ValueError(f"entries are not the rows of rank {n}, each once, "

@@ -5,14 +5,14 @@ Words are never rewritten with braid relations (that would be the word
 problem); equality of the group elements they denote is checked downstream
 by evaluating both sides as matrices.  The only rewriting here is free
 reduction, the cancellation of adjacent S_i S_i^{-1} pairs.  The relation
-table is written in ``relations``; ``relation_instances`` views it here.
+table is written in ``sweep``; ``relation_instances`` views it here.
 """
 
 from __future__ import annotations
 
 from .records import frozen
-from .relations import (Letter, Letters, check_letter, parse_letters,
-                        relation_words, signed_letters)
+from .relations import check_letter, parse_letters, signed_letters
+from .sweep import Letter, Letters, relation_words
 from .tits import Permutation
 
 

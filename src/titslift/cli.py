@@ -3,19 +3,15 @@
 Three subcommands: ``verify`` runs the relation sweep for one rank and
 emits a JSON report, ``eval-word`` evaluates a braid word as a monomial
 matrix and shows its decomposition, ``normalizer-check`` tests whether a
-matrix read from JSON normalizes the diagonal torus.  The last two run
-on plain ints and scalars: they load no braid word and no matrix class.
+matrix read from JSON normalizes the diagonal torus.  Each imports the
+code it runs, so ``verify`` compiles only ``sweep`` besides this module.
+Bad input raises ValueError, which ``main`` prints as one line.
 
 Exit codes: 0 when everything passed, 1 when a relation failed or the
 matrix was not in the normalizer, 2 on usage or input errors.
 """
 
-from __future__ import annotations
-
-import os
 import sys
-
-from .records import TitsSection, parse_scalar, scalar_to_str
 
 USAGE_ERROR = 2
 RELATION_ERROR = 1
@@ -34,21 +30,10 @@ or after "=".
 """
 
 
-def _parse_params(n: int, text: str | None) -> TitsSection:
-    if text is None:
-        return TitsSection.ones(n)
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise ValueError(f"expected {n} parameters, got {len(parts)}")
-    return TitsSection(n, tuple(parse_scalar(p) for p in parts))
-
-
-def _over_cap(n: int, max_rank: int) -> bool:
-    if n <= max_rank:
-        return False
-    print(f"error: rank {n} exceeds cap {max_rank}; "
-          "raise it with --max-rank", file=sys.stderr)
-    return True
+def _check_cap(n: int, max_rank: int) -> None:
+    if n > max_rank:
+        raise ValueError(f"rank {n} exceeds cap {max_rank}; "
+                         "raise it with --max-rank")
 
 
 # one relation check as json.dumps(..., indent=2) writes it
@@ -59,108 +44,48 @@ _BOOL = ("false", "true")
 
 def cmd_verify(n: int, level: str, params: str | None,
                report_path: str | None, max_rank: int) -> int:
-    # the int path is loaded here, so the other subcommands skip it
-    from .relations import verify
-
     if n < 1:
-        print(f"error: rank must be at least 1, got {n}", file=sys.stderr)
-        return USAGE_ERROR
-    if _over_cap(n, max_rank):
-        return USAGE_ERROR
-    try:
-        section = _parse_params(n, params)
-    except ValueError as exc:
-        print(f"error: bad --params: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    report = verify(section, level)
+        raise ValueError(f"rank must be at least 1, got {n}")
+    _check_cap(n, max_rank)
+    if params is not None:
+        # checked but not used: every verdict is read at a = 1 (Tits),
+        # so only a given --params loads records
+        from .records import parse_section
+        try:
+            parse_section(n, params)
+        except ValueError as exc:
+            raise ValueError(f"bad --params: {exc}") from None
+    from .sweep import verdict_rows
+    rows = verdict_rows(n, level)
 
     # json.dumps(report_to_json(report), indent=2) written directly, as
     # json's indented encoder is pure Python: verify never loads json
-    body = ",\n".join(_CHECK.format(r.tag, r.i, r.j, _BOOL[r.passed])
-                       for r in report.relations)
+    body = ",\n".join(_CHECK.format(r[0], r[1], r[2], _BOOL[r[3]])
+                       for r in rows)
+    all_pass = all(r[3] for r in rows)
     text = (f'{{\n  "n": {n},\n  "relations": [\n{body}\n  ],\n'
-            f'  "all_pass": {_BOOL[report.all_pass]}\n}}')
+            f'  "all_pass": {_BOOL[all_pass]}\n}}')
     if report_path:
         try:
             with open(report_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"cannot write report: {exc}") from None
     else:
         print(text)
-    return 0 if report.all_pass else RELATION_ERROR
+    return 0 if all_pass else RELATION_ERROR
 
 
 def cmd_eval_word(n: int, word: str, params: str | None,
                   max_rank: int) -> int:
-    import json
-
-    from .relations import letters_fold, parse_letters, scales_at
-
-    if _over_cap(n, max_rank):
-        return USAGE_ERROR
-    try:
-        section = _parse_params(n, params)
-        letters = parse_letters(n, word)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-
-    # the value at a = 1 moved to the section: column j holds scales[j]
-    # in row images[j], and the images are the word's projection
-    value = letters_fold(n)(letters)
-    images = [abs(x) for x in value]
-    try:
-        scales = [scalar_to_str(x) for x in scales_at(section, value)]
-    except ValueError as exc:
-        # a scale longer than Python's int-to-str limit (4300 digits)
-        print(f"error: result too large to print: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    entries = [["0"] * (n + 1) for _ in images]
-    for col, (row, x) in enumerate(zip(images, scales)):
-        entries[row - 1][col] = x
-    print(json.dumps({
-        "n": n,
-        "word": word.strip(),
-        "matrix": {"dim": n + 1, "entries": entries},
-        "permutation": images,
-        "scales": scales,
-        "projection": images,
-        "pure": images == sorted(images),
-    }, indent=2))
-    return 0
+    _check_cap(n, max_rank)
+    from .relations import eval_word
+    return eval_word(n, word, params)
 
 
 def cmd_normalizer_check(matrix_path: str) -> int:
-    import json
-
-    from .rows import (NotInNormalizer, determinant, monomial_columns,
-                       rows_from_json)
-
-    try:
-        with open(matrix_path, encoding="utf-8") as fh:
-            rows = rows_from_json(json.load(fh))
-    except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: cannot read matrix: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    if determinant(rows) != 1:
-        print("error: matrix does not have determinant 1", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        # one nonzero per column and determinant one: a permutation
-        images, scales = monomial_columns(rows)
-    except NotInNormalizer as exc:
-        print(json.dumps({"in_normalizer": False, "reason": str(exc)}))
-        return RELATION_ERROR
-    print(json.dumps({
-        "in_normalizer": True,
-        "permutation": images,
-        "scales": [scalar_to_str(x) for x in scales],
-        "coset": images,
-    }, indent=2))
-    return 0
+    from .normalizer import normalizer_check
+    return normalizer_check(matrix_path)
 
 
 def _help() -> int:
@@ -232,12 +157,11 @@ def parse_args(argv: list[str]):
 def main(argv: list[str] | None = None) -> int:
     try:
         func, kwargs = parse_args(sys.argv[1:] if argv is None else argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
         code = func(**kwargs)
         sys.stdout.flush()
+    except ValueError as exc:  # bad arguments, or input a subcommand refused
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (MemoryError, OverflowError):
         # a rank past a raised --max-rank, too long for any list: an input
         # error, not a failed relation
@@ -253,6 +177,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _discard_stdout() -> None:
+    import os
+
     try:
         fd = sys.stdout.fileno()
     except (OSError, ValueError):

@@ -17,30 +17,36 @@ import time; every CLI call is a fresh process and pays for that.
 A scalar is an int or a ``fractions.Fraction`` in canonical form: a
 Fraction with denominator 1 collapses to an int, so equality is plain
 structural equality.  ``canonical`` and ``parse_scalar`` are the only ways
-in, ``scalar_to_str`` the way out.  They and ``TitsSection`` live here
-because every subcommand loads this module, and ``verify`` loads no
-dense matrix code.
+in, ``scalar_to_str`` the way out.  A "p" string is read as an int:
+``fractions`` is imported only where a Fraction is built or tested for.
 """
 
-from __future__ import annotations
-
-import re
-from fractions import Fraction
 from operator import attrgetter
-from typing import Union
 
-Scalar = Union[int, Fraction]
+Scalar = "int | Fraction"  # a string: defining it imports no fractions
 
 _MISSING = object()
-_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def canonical(x: Scalar | str) -> Scalar:
+def is_int_text(x: str) -> bool:
+    """Whether x is an ASCII integer, "-?[0-9]+": no "+", no "_", no
+    blank and no digit of another script, which int() would all read."""
+    digits = x[1:] if x.startswith("-") else x
+    return digits.isascii() and digits.isdigit()
+
+
+def _is_scalar_text(x: str) -> bool:  # "p" or "p/q": -?[0-9]+(/[0-9]+)?
+    p, slash, q = x.partition("/")
+    return is_int_text(p) and (not slash or (q.isascii() and q.isdigit()))
+
+
+def canonical(x: "Scalar | str") -> Scalar:
     """Return x as an int when integral, else as a reduced Fraction.
 
     Accepts ints, Fractions and strings "p" or "p/q" like "-3/2"; floats,
     bools and other strings ("1.5", "+3") are rejected with ValueError.
 
+    >>> from fractions import Fraction
     >>> canonical(Fraction(4, 2))
     2
     >>> canonical("5/10")
@@ -51,8 +57,9 @@ def canonical(x: Scalar | str) -> Scalar:
     if isinstance(x, (bool, float)):
         raise ValueError(
             f"scalar must be exact, not a float or bool, got {x!r}")
-    if isinstance(x, str) and not _SCALAR_TEXT.fullmatch(x):
+    if isinstance(x, str) and not _is_scalar_text(x):
         raise ValueError(f'scalar string must be "p" or "p/q", got {x!r}')
+    from fractions import Fraction
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return int(x) if x.denominator == 1 else x
@@ -73,9 +80,12 @@ def parse_scalar(x: object) -> Scalar:
     """
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    if not isinstance(x, str) or not _SCALAR_TEXT.fullmatch(x):
+    if not isinstance(x, str) or not _is_scalar_text(x):
         raise ValueError(
             f'scalar must be an int or a string "p" or "p/q", got {x!r}')
+    if "/" not in x:
+        return int(x)
+    from fractions import Fraction
     try:
         return canonical(Fraction(x))
     except ZeroDivisionError:
@@ -84,6 +94,7 @@ def parse_scalar(x: object) -> Scalar:
 
 def scalar_to_str(x: Scalar) -> str:
     """Canonical string form: "p" for integers, "p/q" otherwise."""
+    from fractions import Fraction
     return str(Fraction(x))
 
 
@@ -163,5 +174,16 @@ class TitsSection:
             raise ValueError("section parameters must be nonzero")
 
     @classmethod
-    def ones(cls, n: int) -> TitsSection:
+    def ones(cls, n: int) -> "TitsSection":
         return cls(n, (1,) * n)
+
+
+def parse_section(n: int, text: str | None) -> TitsSection:
+    """The section written as "a1,...,an", each a scalar string read by
+    parse_scalar; None gives all ones.  Other text raises ValueError."""
+    if text is None:
+        return TitsSection.ones(n)
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != n:
+        raise ValueError(f"expected {n} parameters, got {len(parts)}")
+    return TitsSection(n, tuple(parse_scalar(p) for p in parts))

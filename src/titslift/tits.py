@@ -9,7 +9,7 @@ identity outside rows and columns {i, i+1} with the block
 
 which has determinant one and squares to the diagonal matrix with -1 at
 slots i and i+1.  A word is folded once, at a = 1, into a signed
-permutation (``relations.letters_fold``); every section's value is a torus
+permutation (``sweep.letters_fold``); every section's value is a torus
 conjugate of it.  All is exact over the rationals; a root the rationals
 lack is reported, not approximated.
 """
@@ -24,8 +24,9 @@ from typing import TYPE_CHECKING, Callable
 
 from .linalg import Matrix, exp_nilpotent
 from .records import Scalar, TitsSection, canonical, frozen
-from .relations import check_letter, letters_fold, scales_at
+from .relations import check_letter, scales_at
 from .rows import NotInNormalizer, monomial_columns
+from .sweep import letters_fold
 
 if TYPE_CHECKING:  # braid imports Permutation from this module
     from .braid import BraidWord
@@ -138,7 +139,7 @@ def exp_construction(n: int, i: int) -> GroupElement:
 
 def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
     """The map taking a rank-n braid word to its value at a = 1: the
-    relations.letters_fold of its letters, once its rank is checked."""
+    sweep.letters_fold of its letters, once its rank is checked."""
     fold = letters_fold(n)
 
     def fold_word(w: BraidWord) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import titslift.sweep as sweep
 from titslift.autos import (AlgebraAutomorphism, _combine, _tau_power,
                             conjugation_automorphism, report_from_json,
                             report_to_json, tau_generator,
@@ -261,12 +262,12 @@ def test_sparse_and_dense_forms_agree():
 
 
 def _use_table(monkeypatch, table):
-    """Make the sweep read these instances: relations.verify reads the
-    relation table as rows of plain letters through relation_words."""
-    import titslift.relations as relations
+    """Make the sweep read these instances: sweep.verdict_rows, under
+    relations.verify and the CLI, reads the relation table as rows of
+    plain letters through relation_words."""
     rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
             for t in table]
-    monkeypatch.setattr(relations, "relation_words", lambda k: rows)
+    monkeypatch.setattr(sweep, "relation_words", lambda k: rows)
 
 
 def _square_is_trivial(inst):
@@ -310,6 +311,28 @@ def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
             assert isinstance(r.left, tuple) and isinstance(r.right, tuple)
             assert len(r.left) == len(r.right) == 2 * n
             assert r.left != r.right
+
+
+def _unchanged(inst):
+    return inst
+
+
+@pytest.mark.parametrize("mutate", [_unchanged, _square_is_trivial,
+                                    _flip_last_exponent])
+def test_records_and_cli_rows_agree(monkeypatch, mutate):
+    # the CLI writes sweep.verdict_rows; relations.verify builds its
+    # records from them, and must keep every verdict and the order
+    failed = False
+    for n in range(1, 7):
+        table = [mutate(inst) for inst in relation_instances(n)]
+        _use_table(monkeypatch, table)
+        s = TitsSection(n, tuple(Fraction(-k, 3) for k in range(1, n + 1)))
+        for level in ("group", "adjoint", "all"):
+            rows = [row[:4] for row in sweep.verdict_rows(n, level)]
+            assert [(r.tag, r.i, r.j, r.passed)
+                    for r in verify(s, level).relations] == rows
+            failed |= not all(passed for *_, passed in rows)
+    assert failed == (mutate is not _unchanged)
 
 
 @pytest.mark.parametrize("mutate", [lambda inst: inst, _square_is_trivial,

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from titslift.braid import (BraidWord, is_pure, natural_projection,
                             parse_word, relation_instances, word_to_text)
-from titslift.relations import CoxeterMatrix, letters_fold, relation_words
+from titslift.relations import CoxeterMatrix
 from titslift.roots import pairing, simple_root
+from titslift.sweep import letters_fold, relation_words
 from titslift.tits import Permutation
 
 

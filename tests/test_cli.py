@@ -16,13 +16,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import titslift.autos as autos
 import titslift.relations as relations
+import titslift.sweep as sweep
 from titslift.braid import (BraidWord, RelationInstance, parse_word,
                             relation_instances)
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_from_json, matrix_to_json
 from titslift.records import TitsSection, parse_scalar, scalar_to_str
-from titslift.relations import relation_words
 from titslift.rows import NotInNormalizer
+from titslift.sweep import relation_words
 from titslift.tits import GroupElement, monomial_word, normalizer_decompose
 
 
@@ -153,7 +154,7 @@ def test_verify_report_text_is_the_indented_json(tmp_path, capsys,
         if mutate is not None:
             rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
                     for t in map(mutate, relation_instances(n))]
-            monkeypatch.setattr(relations, "relation_words", lambda k: rows)
+            monkeypatch.setattr(sweep, "relation_words", lambda k: rows)
         checks = ()
         if level != "group":
             checks += autos.verify_theorem1(n).relations
@@ -218,6 +219,20 @@ def test_eval_word_rejects_bad_word(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval-word", "--n", "2", "--word", "+1 2"],
+    ["eval-word", "--n", "2", "--word", "\u0661 2"],
+    ["eval-word", "--n", "10", "--max-rank", "10", "--word", "1_0"],
+], ids=["plus-sign", "arabic-indic-digit", "underscore"])
+def test_eval_word_reads_only_ascii_integer_tokens(capsys, argv):
+    # int() reads all three, as S_1 S_2 and as S_10; a word token is
+    # -?[0-9]+ in ASCII, like the "p" of a scalar
+    code, out, err = run(capsys, argv)
+    _assert_input_error(code, err)
+    assert err == f"error: cannot parse word {argv[-1]!r}\n"
+    assert out == ""
+
+
 def test_normalizer_check_accepts_monomial(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(matrix_to_json(
@@ -232,16 +247,16 @@ def test_normalizer_check_accepts_monomial(tmp_path, capsys):
 
 
 def test_normalizer_check_decomposes_once(tmp_path, capsys, monkeypatch):
-    import titslift.rows
+    import titslift.normalizer
     calls = []
-    original = titslift.rows.monomial_columns
+    original = titslift.normalizer.monomial_columns
 
     def counted(rows):
         calls.append(rows)
         return original(rows)
 
-    # cli reads the column scan from rows at call time
-    monkeypatch.setattr(titslift.rows, "monomial_columns", counted)
+    # the subcommand reads the column scan from its module at call time
+    monkeypatch.setattr(titslift.normalizer, "monomial_columns", counted)
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"dim": 3, "entries": [["0", "0", "1/2"],
                                                       ["-1", "0", "0"],
@@ -633,7 +648,7 @@ def test_verify_under_python_optimize_flag():
     # and a failing relation is still reported: S_i^2 = 1 for S_i^4 = 1
     mutated = """
 import sys
-import titslift.relations as relations
+import titslift.sweep as sweep
 from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.cli import main
 table = [inst if inst.tag != "2.11" else RelationInstance(
@@ -641,7 +656,7 @@ table = [inst if inst.tag != "2.11" else RelationInstance(
              inst.right)
          for inst in relation_instances(2)]
 rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters) for t in table]
-relations.relation_words = lambda k: rows
+sweep.relation_words = lambda k: rows
 sys.exit(main(["verify", "--n", "2", "--level", "all"]))
 """
     proc = subprocess.run([sys.executable, "-O", "-c", mutated], env=env,
@@ -657,7 +672,7 @@ def test_verify_at_every_level_reads_the_relation_table_once(monkeypatch,
     def counted(n):
         calls.append(n)
         return relation_words(n)
-    monkeypatch.setattr(relations, "relation_words", counted)
+    monkeypatch.setattr(sweep, "relation_words", counted)
     code, out, _ = run(capsys, ["verify", "--n", "5"])
     assert code == 0 and json.loads(out)["all_pass"] is True
     assert calls == [5]

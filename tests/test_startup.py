@@ -2,7 +2,9 @@
 
 Every CLI call is a new interpreter, so the modules a subcommand imports
 are paid for on every call.  These tests pin which modules each entry
-point loads, without timing anything.
+point loads, without timing anything.  Each probe runs without ``site``
+(``python -S``), so what a run adds is measured against a bare
+interpreter and not against whatever the host's start-up hooks import.
 """
 
 import ast
@@ -19,32 +21,40 @@ import titslift
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# runs argv through cli.main (or only imports the package when argv is
-# None) and reports the exit code and the modules the run added
+# runs a statement, which may set code, and reports code and the modules
+# the statement added
 PROBE = """
 import sys
-argv = {argv!r}
 before = set(sys.modules)
-if argv is None:
-    import titslift
-    code = None
-else:
-    from titslift.cli import main
-    code = main(argv)
+code = None
+{statement}
 sys.stderr.write("\\n" + repr((code, sorted(set(sys.modules) - before))))
 """
 
 
-def _loaded(tmp_path, argv):
+def _added(tmp_path, statement):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(argv=argv)],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", PROBE.format(statement=statement)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, modules = ast.literal_eval(proc.stderr.splitlines()[-1])
     return code, set(modules)
+
+
+def _loaded(tmp_path, argv):
+    """Run argv through cli.main, or only import the package when argv is
+    None: the exit code and the modules the run added."""
+    if argv is None:
+        return _added(tmp_path, "import titslift")
+    return _added(tmp_path,
+                  f"from titslift.cli import main\ncode = main({argv!r})")
+
+
+def _package(modules):
+    return {m for m in modules if m.startswith("titslift")}
 
 
 def test_import_loads_no_submodule(tmp_path):
@@ -60,9 +70,11 @@ ARGPARSE = {"argparse", "gettext", "locale"}
 
 @pytest.mark.parametrize("argv,package", [
     (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
-     {"titslift", "titslift.cli", "titslift.records", "titslift.relations"}),
+     {"titslift", "titslift.cli", "titslift.records", "titslift.relations",
+      "titslift.sweep"}),
     (["normalizer-check", "--matrix", "m.json"],
-     {"titslift", "titslift.cli", "titslift.records", "titslift.rows"}),
+     {"titslift", "titslift.cli", "titslift.normalizer", "titslift.records",
+      "titslift.rows"}),
 ], ids=["eval-word", "normalizer-check"])
 def test_light_subcommands_skip_the_algebra_layer(tmp_path, argv, package):
     # both run on plain data: eval-word folds letters into ints as verify
@@ -72,21 +84,65 @@ def test_light_subcommands_skip_the_algebra_layer(tmp_path, argv, package):
         {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
     code, modules = _loaded(tmp_path, argv)
     assert code == 0
-    assert {m for m in modules if m.startswith("titslift")} == package
+    assert _package(modules) == package
     assert not modules & (ARGPARSE | {"dataclasses"})
 
 
-def test_verify_loads_the_algebra_layer(tmp_path):
-    # both levels read their verdicts off ints in relations: no braid
-    # word, no section lift, no root and no operator code is compiled
+# what a verify call loads: the int sweep, and no module outside titslift
+VERIFY = {"titslift", "titslift.cli", "titslift.sweep"}
+
+
+def test_verify_loads_only_the_sweep(tmp_path):
+    # every verdict is read at a = 1 on signed ints, so without --params
+    # no record, no fractions, decimal or numbers, and no __future__,
+    # typing or re is loaded
+    for level in ("group", "adjoint", "all"):
+        code, modules = _loaded(tmp_path, ["verify", "--n", "3", "--level",
+                                           level])
+        assert code == 0
+        assert modules == VERIFY, level
+
+
+def test_verify_with_params_adds_only_records_and_fractions(tmp_path):
+    # --params is checked by records, which builds a Fraction for "p/q"
+    _, fractions = _added(tmp_path, "import fractions")
     for level in ("group", "adjoint", "all"):
         code, modules = _loaded(tmp_path, ["verify", "--n", "3", "--level",
                                            level, "--params=2,-1/3,5"])
         assert code == 0
-        assert {m for m in modules if m.startswith("titslift")} == {
-            "titslift", "titslift.cli", "titslift.records",
-            "titslift.relations"}, level
-        assert not modules & (ARGPARSE | {"json", "dataclasses"})
+        assert _package(modules) == VERIFY | {"titslift.records"}, level
+        assert modules - _package(modules) <= fractions, level
+    # a "p" string is read as an int, without fractions
+    code, modules = _loaded(tmp_path, ["verify", "--n", "3",
+                                       "--params=2,-3,5"])
+    assert code == 0
+    assert _package(modules) == VERIFY | {"titslift.records"}
+    assert "fractions" not in modules
+
+
+def _lines(modules):
+    src = ROOT / "src"
+    return sum(len((src / (m.replace(".", "/") + (
+        "/__init__.py" if m == "titslift" else ".py"))).read_text()
+        .splitlines()) for m in modules)
+
+
+@pytest.mark.parametrize("argv,budget", [
+    (["verify", "--n", "3", "--level", "all"], 380),
+    (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
+     727),
+    (["normalizer-check", "--matrix", "m.json"], 570),
+], ids=["verify", "eval-word", "normalizer-check"])
+def test_subcommands_compile_at_most_their_line_budget(tmp_path, argv,
+                                                       budget):
+    # where no bytecode is cached, a call compiles every line of every
+    # package module it loads; eval-word and normalizer-check keep the
+    # counts they had when verify still shared eval-word's modules
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
+    code, modules = _loaded(tmp_path, argv)
+    assert code == 0
+    assert _lines(_package(modules)) <= budget
 
 
 def _top_level_imports(module):
@@ -97,10 +153,41 @@ def _top_level_imports(module):
     return package, plain
 
 
-def test_relations_imports_only_records_at_module_level():
-    # the int path stays a leaf: any other package import at the top of
-    # relations would be compiled by every verify and eval-word call
-    assert _top_level_imports("relations") == ([(1, "records")], [])
+def test_relations_imports_only_records_and_sweep_at_module_level():
+    # the record layer over the sweep: any other package import at the top
+    # of relations would be compiled by every eval-word call
+    assert _top_level_imports("relations") == (
+        [(1, "records"), (1, "sweep")], [])
+
+
+def test_sweep_imports_nothing():
+    # the leaf verify runs: not even the standard library, nor anything
+    # inside a function
+    tree = ast.parse((ROOT / "src" / "titslift" / "sweep.py").read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_module_imports_cli():
+    # under python -m titslift.cli the running module is __main__, so a
+    # package module importing titslift.cli would compile and run cli a
+    # second time
+    for path in sorted((ROOT / "src" / "titslift").glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{a.name}" if node.module else a.name
+                    for a in node.names]
+                names = [n if node.level else n.removeprefix("titslift.")
+                         for n in names]
+            elif isinstance(node, ast.Import):
+                names = [a.name.removeprefix("titslift.")
+                         for a in node.names]
+            else:
+                continue
+            assert "cli" not in names, (path.stem, ast.dump(node))
 
 
 def test_rows_imports_only_records_at_module_level():
@@ -168,8 +255,8 @@ def test_star_import_and_dir_cover_all():
 
 
 def test_submodules_resolve_as_attributes():
-    for name in ("autos", "braid", "cli", "liealg", "linalg", "records",
-                 "relations", "roots", "rows", "tits"):
+    for name in ("autos", "braid", "cli", "liealg", "linalg", "normalizer",
+                 "records", "relations", "roots", "rows", "sweep", "tits"):
         assert getattr(titslift, name) is importlib.import_module(
             f"titslift.{name}")
 

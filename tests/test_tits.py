@@ -17,7 +17,8 @@ from titslift.braid import (BraidWord, natural_projection, parse_word,
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
 from titslift.records import TitsSection, scalar_to_str
-from titslift.relations import _adjoint_images, letters_fold
+from titslift.relations import _adjoint_images
+from titslift.sweep import letters_fold
 from titslift.tits import (GroupElement, MonomialDecomposition,
                            NoExactWitness, NotInNormalizer, Permutation,
                            conjugation_witness, coset_class, evaluate_word,
