@@ -12,6 +12,11 @@ only the modules its subcommand runs.
 
 __version__ = "0.1.0"
 
+
+class UsageError(ValueError):
+    """Input the CLI refuses, printed by ``cli.main`` as one error line."""
+
+
 _EXPORTS = {
     "autos": (
         "AlgebraAutomorphism", "conjugation_automorphism", "report_from_json",

@@ -5,13 +5,16 @@ emits a JSON report, ``eval-word`` evaluates a braid word as a monomial
 matrix and shows its decomposition, ``normalizer-check`` tests whether a
 matrix read from JSON normalizes the diagonal torus.  Each imports the
 code it runs, so ``verify`` compiles only ``sweep`` besides this module.
-Bad input raises ValueError, which ``main`` prints as one line.
+Bad arguments or input raise UsageError, which ``main`` prints as one
+line; any other exception is a fault and keeps its traceback.
 
 Exit codes: 0 when everything passed, 1 when a relation failed or the
 matrix was not in the normalizer, 2 on usage or input errors.
 """
 
 import sys
+
+from . import UsageError
 
 USAGE_ERROR = 2
 RELATION_ERROR = 1
@@ -32,7 +35,7 @@ or after "=".
 
 def _check_cap(n: int, max_rank: int) -> None:
     if n > max_rank:
-        raise ValueError(f"rank {n} exceeds cap {max_rank}; "
+        raise UsageError(f"rank {n} exceeds cap {max_rank}; "
                          "raise it with --max-rank")
 
 
@@ -45,7 +48,7 @@ _BOOL = ("false", "true")
 def cmd_verify(n: int, level: str, params: str | None,
                report_path: str | None, max_rank: int) -> int:
     if n < 1:
-        raise ValueError(f"rank must be at least 1, got {n}")
+        raise UsageError(f"rank must be at least 1, got {n}")
     _check_cap(n, max_rank)
     if params is not None:
         # checked but not used: every verdict is read at a = 1 (Tits),
@@ -54,7 +57,7 @@ def cmd_verify(n: int, level: str, params: str | None,
         try:
             parse_section(n, params)
         except ValueError as exc:
-            raise ValueError(f"bad --params: {exc}") from None
+            raise UsageError(f"bad --params: {exc}") from None
     from .sweep import verdict_rows
     rows = verdict_rows(n, level)
 
@@ -70,7 +73,7 @@ def cmd_verify(n: int, level: str, params: str | None,
             with open(report_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise ValueError(f"cannot write report: {exc}") from None
+            raise UsageError(f"cannot write report: {exc}") from None
     else:
         print(text)
     return 0 if all_pass else RELATION_ERROR
@@ -120,14 +123,14 @@ def parse_args(argv: list[str]):
     """(function, keyword arguments) for a command line, read by COMMANDS:
     --opt value or --opt=value, each option at most once, and a known
     option takes the next argument as its value even if it starts with
-    "-".  Anything else raises ValueError with a one-line message."""
+    "-".  Anything else raises UsageError with a one-line message."""
     if not argv:
-        raise ValueError(f"missing subcommand: {', '.join(COMMANDS)}")
+        raise UsageError(f"missing subcommand: {', '.join(COMMANDS)}")
     command, tokens = argv[0], iter(argv[1:])
     if command in ("-h", "--help"):
         return _help, {}
     if command not in COMMANDS:
-        raise ValueError(f"unknown subcommand {command!r}")
+        raise UsageError(f"unknown subcommand {command!r}")
     func, options = COMMANDS[command]
     kwargs = {}
     for token in tokens:
@@ -135,21 +138,21 @@ def parse_args(argv: list[str]):
             return _help, {}
         name, eq, value = token.partition("=")
         if name not in options:
-            raise ValueError(f"{command}: unrecognized argument {token!r}")
+            raise UsageError(f"{command}: unrecognized argument {token!r}")
         key, convert, _ = options[name]
         if key in kwargs:
-            raise ValueError(f"{name} given twice")
+            raise UsageError(f"{name} given twice")
         if not eq:
             value = next(tokens, None)
             if value is None:
-                raise ValueError(f"{name} needs a value")
+                raise UsageError(f"{name} needs a value")
         try:
             kwargs[key] = convert(value)
         except ValueError:
-            raise ValueError(f"invalid {name} value {value!r}") from None
+            raise UsageError(f"invalid {name} value {value!r}") from None
     for name, (key, _, default) in options.items():
         if key not in kwargs and default is REQUIRED:
-            raise ValueError(f"{command} needs {name}")
+            raise UsageError(f"{command} needs {name}")
         kwargs.setdefault(key, default)
     return func, kwargs
 
@@ -159,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         func, kwargs = parse_args(sys.argv[1:] if argv is None else argv)
         code = func(**kwargs)
         sys.stdout.flush()
-    except ValueError as exc:  # bad arguments, or input a subcommand refused
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (MemoryError, OverflowError):

@@ -17,30 +17,22 @@ import time; every CLI call is a fresh process and pays for that.
 A scalar is an int or a ``fractions.Fraction`` in canonical form: a
 Fraction with denominator 1 collapses to an int, so equality is plain
 structural equality.  ``canonical`` and ``parse_scalar`` are the only ways
-in, ``scalar_to_str`` the way out.  A "p" string is read as an int:
-``fractions`` is imported only where a Fraction is built or tested for.
+in, ``scalar_to_str`` the way out.  ``INT_TEXT`` is the "p" of the
+scalar grammar, which ``relations.parse_letters`` also reads words with.
 """
 
+import re
+from fractions import Fraction
 from operator import attrgetter
 
-Scalar = "int | Fraction"  # a string: defining it imports no fractions
+Scalar = int | Fraction
 
 _MISSING = object()
+INT_TEXT = re.compile(r"-?[0-9]+")  # unlike int(): no "+1", "1_0" or "١"
+_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def is_int_text(x: str) -> bool:
-    """Whether x is an ASCII integer, "-?[0-9]+": no "+", no "_", no
-    blank and no digit of another script, which int() would all read."""
-    digits = x[1:] if x.startswith("-") else x
-    return digits.isascii() and digits.isdigit()
-
-
-def _is_scalar_text(x: str) -> bool:  # "p" or "p/q": -?[0-9]+(/[0-9]+)?
-    p, slash, q = x.partition("/")
-    return is_int_text(p) and (not slash or (q.isascii() and q.isdigit()))
-
-
-def canonical(x: "Scalar | str") -> Scalar:
+def canonical(x: Scalar | str) -> Scalar:
     """Return x as an int when integral, else as a reduced Fraction.
 
     Accepts ints, Fractions and strings "p" or "p/q" like "-3/2"; floats,
@@ -57,9 +49,8 @@ def canonical(x: "Scalar | str") -> Scalar:
     if isinstance(x, (bool, float)):
         raise ValueError(
             f"scalar must be exact, not a float or bool, got {x!r}")
-    if isinstance(x, str) and not _is_scalar_text(x):
+    if isinstance(x, str) and not _SCALAR_TEXT.fullmatch(x):
         raise ValueError(f'scalar string must be "p" or "p/q", got {x!r}')
-    from fractions import Fraction
     if not isinstance(x, Fraction):
         x = Fraction(x)
     return int(x) if x.denominator == 1 else x
@@ -80,12 +71,9 @@ def parse_scalar(x: object) -> Scalar:
     """
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    if not isinstance(x, str) or not _is_scalar_text(x):
+    if not isinstance(x, str) or not _SCALAR_TEXT.fullmatch(x):
         raise ValueError(
             f'scalar must be an int or a string "p" or "p/q", got {x!r}')
-    if "/" not in x:
-        return int(x)
-    from fractions import Fraction
     try:
         return canonical(Fraction(x))
     except ZeroDivisionError:
@@ -94,7 +82,6 @@ def parse_scalar(x: object) -> Scalar:
 
 def scalar_to_str(x: Scalar) -> str:
     """Canonical string form: "p" for integers, "p/q" otherwise."""
-    from fractions import Fraction
     return str(Fraction(x))
 
 

@@ -8,13 +8,13 @@ their values at the section for the group, and for the algebra the images
 of the generators e_k, f_k.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
-from .records import (Scalar, TitsSection, canonical, frozen, is_int_text,
+from . import UsageError
+from .records import (INT_TEXT, Scalar, TitsSection, canonical, frozen,
                       parse_section, scalar_to_str)
-from .sweep import ADJOINT_TAG, Letter, Letters, letters_fold, verdict_rows
+from .sweep import (ADJOINT_TAG, Letter, Letters, coxeter_entry, letters_fold,
+                    verdict_rows)
 
 
 @frozen
@@ -27,9 +27,7 @@ class CoxeterMatrix:
         for k in (i, j):
             if not 1 <= k <= self.n:
                 raise ValueError(f"index {k} out of range 1..{self.n}")
-        if i == j:
-            return 1
-        return 3 if abs(i - j) == 1 else 2
+        return coxeter_entry(i, j)
 
 
 def check_letter(n: int, i: object, e: object) -> Letter:
@@ -45,9 +43,9 @@ def check_letter(n: int, i: object, e: object) -> Letter:
 
 def parse_letters(n: int, text: str) -> Letters:
     """The checked letters of a rank-n word written as "1 2 -1": each
-    token an ASCII integer, as records.is_int_text reads it."""
+    token an ASCII integer, records.INT_TEXT."""
     tokens = text.split()
-    if not all(is_int_text(tok) for tok in tokens):
+    if not all(INT_TEXT.fullmatch(tok) for tok in tokens):
         raise ValueError(f"cannot parse word {text!r}")
     return signed_letters(n, [int(tok) for tok in tokens])
 
@@ -83,10 +81,14 @@ def scales_at(s: TitsSection, value: tuple[int, ...]) -> list[Scalar]:
 
 def eval_word(n: int, word: str, params: str | None) -> int:
     """The eval-word subcommand: print the value of a rank-n word at the
-    section params as JSON and return 0; bad input raises ValueError."""
+    section params as JSON and return 0; bad input raises UsageError."""
     import json
-    section = parse_section(n, params)
-    value = letters_fold(n)(parse_letters(n, word))
+    try:
+        section = parse_section(n, params)
+        letters = parse_letters(n, word)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    value = letters_fold(n)(letters)
     # the value at a = 1 moved to the section: column j holds scales[j]
     # in row images[j], and the images are the word's projection
     images = [abs(x) for x in value]
@@ -94,7 +96,7 @@ def eval_word(n: int, word: str, params: str | None) -> int:
         scales = [scalar_to_str(x) for x in scales_at(section, value)]
     except ValueError as exc:
         # a scale longer than Python's int-to-str limit (4300 digits)
-        raise ValueError(f"result too large to print: {exc}") from None
+        raise UsageError(f"result too large to print: {exc}") from None
     entries = [["0"] * (n + 1) for _ in images]
     for col, (row, x) in enumerate(zip(images, scales)):
         entries[row - 1][col] = x

@@ -16,6 +16,11 @@ RelationRow = tuple[str, int, int, Letters, Letters]
 ADJOINT_TAG = {"2.9": "0.2", "2.10": "0.4", "2.11": "0.5", "2.12": "0.6"}
 
 
+def coxeter_entry(i: int, j: int) -> int:
+    """The Coxeter entry m(i, j) of type A_n: 1, 3 if adjacent, else 2."""
+    return 1 if i == j else 3 if abs(i - j) == 1 else 2
+
+
 def relation_words(n: int) -> list[RelationRow]:
     """All relation templates for rank n, as rows of plain letters.
 
@@ -37,7 +42,7 @@ def relation_words(n: int) -> list[RelationRow]:
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i < j:
-                m = 3 if j - i == 1 else 2  # the Coxeter entry of type A_n
+                m = coxeter_entry(i, j)
                 braid = (s[i], s[j], s[i])[:m], (s[j], s[i], s[j])[:m]
                 squares = square[i] + square[j], square[j] + square[i]
                 sides[i, j] = m, braid, squares
@@ -54,7 +59,7 @@ def relation_words(n: int) -> list[RelationRow]:
     return out
 
 
-def letters_fold(n: int) -> "Callable[[Letters], tuple[int, ...]]":
+def letters_fold(n: int):
     """The map taking the letters of a rank-n word to its value at a = 1.
 
     The value is a signed permutation matrix, kept as one int per column:

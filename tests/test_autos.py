@@ -320,8 +320,10 @@ def _unchanged(inst):
 @pytest.mark.parametrize("mutate", [_unchanged, _square_is_trivial,
                                     _flip_last_exponent])
 def test_records_and_cli_rows_agree(monkeypatch, mutate):
-    # the CLI writes sweep.verdict_rows; relations.verify builds its
-    # records from them, and must keep every verdict and the order
+    # the CLI writes sweep.verdict_rows in their order; relations.verify
+    # builds its records from them and RelationReport sorts the records by
+    # (tag, i, j), so this pins that the two orders agree and that no
+    # verdict is lost, added or flipped on the way to the records
     failed = False
     for n in range(1, 7):
         table = [mutate(inst) for inst in relation_instances(n)]

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, JSON payloads, file handling."""
 
+import importlib
 import io
 import itertools
 import json
@@ -231,6 +232,28 @@ def test_eval_word_reads_only_ascii_integer_tokens(capsys, argv):
     _assert_input_error(code, err)
     assert err == f"error: cannot parse word {argv[-1]!r}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (["verify", "--n", "2"], "titslift.sweep", "verdict_rows"),
+    (["eval-word", "--n", "2", "--word", "1 2"], "titslift.relations",
+     "letters_fold"),
+    (["normalizer-check", "--matrix", "m.json"], "titslift.normalizer",
+     "monomial_columns"),
+], ids=["verify", "eval-word", "normalizer-check"])
+def test_a_fault_is_not_reported_as_an_input_error(tmp_path, monkeypatch,
+                                                   argv, module, name):
+    # only UsageError is input the CLI refuses; a ValueError from inside a
+    # subcommand's own code is a fault and keeps its traceback
+    def broken(*args):
+        raise ValueError("fault")
+
+    monkeypatch.setattr(importlib.import_module(module), name, broken)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
+    with pytest.raises(ValueError, match="fault"):
+        main(argv)
 
 
 def test_normalizer_check_accepts_monomial(tmp_path, capsys):

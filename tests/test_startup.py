@@ -104,7 +104,7 @@ def test_verify_loads_only_the_sweep(tmp_path):
 
 
 def test_verify_with_params_adds_only_records_and_fractions(tmp_path):
-    # --params is checked by records, which builds a Fraction for "p/q"
+    # --params is checked by records, which reads scalars with fractions
     _, fractions = _added(tmp_path, "import fractions")
     for level in ("group", "adjoint", "all"):
         code, modules = _loaded(tmp_path, ["verify", "--n", "3", "--level",
@@ -112,12 +112,6 @@ def test_verify_with_params_adds_only_records_and_fractions(tmp_path):
         assert code == 0
         assert _package(modules) == VERIFY | {"titslift.records"}, level
         assert modules - _package(modules) <= fractions, level
-    # a "p" string is read as an int, without fractions
-    code, modules = _loaded(tmp_path, ["verify", "--n", "3",
-                                       "--params=2,-3,5"])
-    assert code == 0
-    assert _package(modules) == VERIFY | {"titslift.records"}
-    assert "fractions" not in modules
 
 
 def _lines(modules):
@@ -154,10 +148,11 @@ def _top_level_imports(module):
 
 
 def test_relations_imports_only_records_and_sweep_at_module_level():
-    # the record layer over the sweep: any other package import at the top
-    # of relations would be compiled by every eval-word call
+    # the record layer over the sweep, and UsageError from the package
+    # itself, which every call has loaded: any other package import at the
+    # top of relations would be compiled by every eval-word call
     assert _top_level_imports("relations") == (
-        [(1, "records"), (1, "sweep")], [])
+        [(1, None), (1, "records"), (1, "sweep")], [])
 
 
 def test_sweep_imports_nothing():
