@@ -19,9 +19,8 @@ class UsageError(ValueError):
 
 _EXPORTS = {
     "autos": (
-        "AlgebraAutomorphism", "conjugation_automorphism", "report_from_json",
-        "report_to_json", "tau_generator", "verify_group_relations",
-        "verify_theorem1"),
+        "AlgebraAutomorphism", "conjugation_automorphism", "tau_generator",
+        "verify_group_relations", "verify_theorem1"),
     "braid": (
         "BraidWord", "RelationInstance", "is_pure", "natural_projection",
         "parse_word", "relation_instances", "word_to_text"),
@@ -33,7 +32,6 @@ _EXPORTS = {
         "Matrix", "NotNilpotentError", "SingularMatrixError",
         "exp_nilpotent", "matrix_from_json", "matrix_to_json"),
     "records": ("TitsSection", "canonical", "scalar_to_str"),
-    "relations": ("CoxeterMatrix", "RelationCheck", "RelationReport"),
     "roots": (
         "RootVector", "all_roots", "pairing", "reflect", "root",
         "simple_root", "transposition_word", "weyl_action"),
@@ -47,7 +45,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "normalizer"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "normalizer", "relations"}
 
 __all__ = sorted(_HOME)
 

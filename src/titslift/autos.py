@@ -6,8 +6,9 @@ conjugation by the parameter-1 lift of the i-th braid generator, a
 monomial matrix, so it is built here in closed form from that lift's
 permutation and scales, as sparse columns.  The dense exp(ad) product
 stays available through ``liealg.ad_matrix`` and ``linalg.exp_nilpotent``
-as an independent check.  The relation sweep builds no operator: this
-module holds the JSON form of the reports of ``relations.verify``.
+as an independent check.  The relation sweep builds no operator: its
+verdicts are ``sweep.verdict_rows``, which the two verify calls here
+return.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .liealg import (Cartan, LieElement, OffDiagonal, basis_indices,
                      basis_matrix, dimension, slot)
 from .linalg import Matrix
 from .records import Scalar, TitsSection, canonical, frozen
-from .relations import RelationCheck, RelationReport, verify
-from .sweep import ADJOINT_TAG, relation_words
+from .sweep import verdict_rows
 from .tits import GroupElement, monomial_lift
 
 Column = dict[int, Scalar]  # 0-based row -> nonzero entry
@@ -121,56 +121,14 @@ def conjugation_automorphism(g: GroupElement, n: int) -> AlgebraAutomorphism:
     return AlgebraAutomorphism(n, tuple(cols))
 
 
-def report_to_json(rep: RelationReport) -> dict:
-    return {
-        "n": rep.n,
-        "relations": [
-            {"tag": r.tag, "i": r.i, "j": r.j, "pass": r.passed}
-            for r in rep.relations
-        ],
-        "all_pass": rep.all_pass,
-    }
+# kept because bench/traced_cli.py wraps it by name
+def verify_theorem1(n: int) -> list[tuple]:
+    """The algebra-level verdict rows of rank n, sweep.verdict_rows."""
+    return verdict_rows(n, "adjoint")
 
 
-def report_from_json(obj: dict) -> RelationReport:
-    """The inverse of report_to_json.  Only what a sweep can write is read
-    back: a field of the wrong type, an "all_pass" that contradicts the
-    entries, or entries that are not the (tag, i, j) rows of
-    relation_words(n), each once, at every level whose tags the document
-    holds (so no other tag and no index outside 1..n), raise."""
-    try:
-        n, rels = obj["n"], tuple(
-            RelationCheck(r["tag"], r["i"], r["j"], r["pass"])
-            for r in obj["relations"]
-        )
-    except (TypeError, KeyError) as exc:
-        raise ValueError("report JSON needs 'n' and 'relations'") from exc
-    if type(n) is not int or any(
-            (type(r.tag), type(r.i), type(r.j), type(r.passed))
-            != (str, int, int, bool) for r in rels):
-        raise ValueError("report needs int n, i, j, a str tag, a bool pass")
-    keys = {(r.tag, r.i, r.j) for r in rels}
-    groups = {tag in ADJOINT_TAG for tag, _, _ in keys}  # True: a group tag
-    # n rows of 2.11 and 3 per ordered pair i != j at each level, counted
-    # first, so that a large n builds no table for a short document
-    if not rels or len(rels) != len(keys) or \
-            len(keys) != len(groups) * (3 * n * n - 2 * n) or \
-            keys != {(tag if group else ADJOINT_TAG[tag], i, j)
-                     for tag, i, j, _, _ in relation_words(n)
-                     for group in groups}:
-        raise ValueError(f"entries are not the rows of rank {n}, each once, "
-                         "at every level the document holds")
-    report = RelationReport(n, rels)
-    if "all_pass" in obj and obj["all_pass"] is not report.all_pass:
-        raise ValueError("'all_pass' does not match the relations")
-    return report
-
-
-def verify_theorem1(n: int) -> RelationReport:
-    """Check every defining relation at the algebra level for rank n."""
-    return verify(TitsSection.ones(n), "adjoint")
-
-
-def verify_group_relations(s: TitsSection) -> RelationReport:
-    """Check every defining relation for the lifts of one section."""
-    return verify(s, "group")
+# kept because bench/traced_cli.py wraps it by name
+def verify_group_relations(s: TitsSection) -> list[tuple]:
+    """The group-level verdict rows of rank s.n: every section's lifts
+    are a torus conjugate of those at a = 1, so s gives the same rows."""
+    return verdict_rows(s.n, "group")

@@ -61,8 +61,8 @@ def cmd_verify(n: int, level: str, params: str | None,
     from .sweep import verdict_rows
     rows = verdict_rows(n, level)
 
-    # json.dumps(report_to_json(report), indent=2) written directly, as
-    # json's indented encoder is pure Python: verify never loads json
+    # the report as json.dumps(..., indent=2) writes it, written directly
+    # as json's indented encoder is pure Python: verify never loads json
     body = ",\n".join(_CHECK.format(r[0], r[1], r[2], _BOOL[r[3]])
                        for r in rows)
     all_pass = all(r[3] for r in rows)

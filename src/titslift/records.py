@@ -8,8 +8,7 @@ class-level value as the field's default, that ends by calling
 ``__post_init__`` when the class has one; ``==`` and ``hash`` over the
 field values, with ``NotImplemented`` against any other class; the repr
 ``Name(field=value, ...)``; and assignment and deletion that raise
-AttributeError.  Fields named in ``hidden`` are stored but take no part
-in ``==``, ``hash`` or the repr.
+AttributeError.
 
 The methods are plain closures, so defining a record compiles no code at
 import time; every CLI call is a fresh process and pays for that.
@@ -85,16 +84,12 @@ def scalar_to_str(x: Scalar) -> str:
     return str(Fraction(x))
 
 
-def frozen(cls=None, *, hidden=()):
-    """Make cls a frozen record, used as ``@frozen`` or
-    ``@frozen(hidden=(...))``; the module docstring lists what it adds."""
-    if cls is None:
-        return lambda c: frozen(c, hidden=hidden)
+def frozen(cls):
+    """Make cls a frozen record; the module docstring lists what it adds."""
     names = tuple(vars(cls).get("__annotations__", {}))
     defaults = {k: vars(cls)[k] for k in names if k in vars(cls)}
-    shown = tuple(k for k in names if k not in hidden)
-    get = attrgetter(*shown)
-    key = get if len(shown) > 1 else lambda self: (get(self),)
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
     post = getattr(cls, "__post_init__", None)
 
     def bind(args, kwargs):
@@ -127,7 +122,7 @@ def frozen(cls=None, *, hidden=()):
         return hash(key(self))
 
     def __repr__(self):
-        body = ", ".join(f"{k}={getattr(self, k)!r}" for k in shown)
+        body = ", ".join(f"{k}={getattr(self, k)!r}" for k in names)
         return f"{self.__class__.__qualname__}({body})"
 
     def __setattr__(self, name, value):

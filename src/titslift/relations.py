@@ -1,33 +1,16 @@
-"""The record layer over the sweep, and the plain word arithmetic
-``eval-word`` runs: letters read and checked, folded at a = 1 and moved
-to a section.
+"""The plain word arithmetic ``eval-word`` runs: letters read and
+checked, folded at a = 1 and moved to a section.
 
-``verify`` builds its records from ``sweep.verdict_rows``, the rows the
-CLI writes, so there is one sweep.  A failing check keeps the two sides:
-their values at the section for the group, and for the algebra the images
-of the generators e_k, f_k.
+The relation verdicts are ``sweep.verdict_rows``; ``braid`` and ``tits``
+build their words and section values on the letters and scales here.
 """
 
 from fractions import Fraction
 
 from . import UsageError
-from .records import (INT_TEXT, Scalar, TitsSection, canonical, frozen,
+from .records import (INT_TEXT, Scalar, TitsSection, canonical,
                       parse_section, scalar_to_str)
-from .sweep import (ADJOINT_TAG, Letter, Letters, coxeter_entry, letters_fold,
-                    verdict_rows)
-
-
-@frozen
-class CoxeterMatrix:
-    """Pair orders for type A_n: m(i,i) = 1, adjacent 3, distant 2."""
-
-    n: int
-
-    def m(self, i: int, j: int) -> int:
-        for k in (i, j):
-            if not 1 <= k <= self.n:
-                raise ValueError(f"index {k} out of range 1..{self.n}")
-        return coxeter_entry(i, j)
+from .sweep import Letter, Letters, letters_fold
 
 
 def check_letter(n: int, i: object, e: object) -> Letter:
@@ -110,70 +93,3 @@ def eval_word(n: int, word: str, params: str | None) -> int:
         "pure": images == sorted(images),
     }, indent=2))
     return 0
-
-
-@frozen(hidden=("left", "right"))
-class RelationCheck:
-    """Outcome of one relation instance: tag, indices, verdict.
-
-    On failure, left and right hold the two sides' values: the generator
-    images as (row, column, coefficient) triples, or the monomial
-    decompositions at the section.  They stay None on a pass and never
-    take part in equality or the JSON form.
-    """
-
-    tag: str
-    i: int
-    j: int
-    passed: bool
-    left: object = None
-    right: object = None
-
-
-@frozen
-class RelationReport:
-    """All relation checks for one rank, sorted by (tag, i, j)."""
-
-    n: int
-    relations: tuple[RelationCheck, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "relations", tuple(
-            sorted(self.relations, key=lambda r: (r.tag, r.i, r.j))))
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.relations)
-
-    def failures(self) -> list[RelationCheck]:
-        return [r for r in self.relations if not r.passed]
-
-
-def _adjoint_images(value: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """e_1..e_n, then f_1..f_n, under Ad of the value at a = 1, each a
-    matrix unit E_{row, column} times a coefficient, as a triple."""
-    e = [(abs(x), abs(y), 1 if x * y > 0 else -1)
-         for x, y in zip(value, value[1:])]
-    return tuple(e + [(col, row, c) for row, col, c in e])
-
-
-def verify(s: TitsSection, level: str) -> RelationReport:
-    """Check every defining relation for rank s.n at one level: "group"
-    for the lifts of the section s, "adjoint" for the automorphisms they
-    induce (which do not depend on s), or "all" for both.
-
-    The verdicts are sweep.verdict_rows(s.n, level); a failure's two
-    sides are moved to the section s, or to the generator images.
-    """
-    checks = []
-    for tag, i, j, passed, *sides in verdict_rows(s.n, level):
-        if not sides:
-            sides = None, None
-        elif tag in ADJOINT_TAG:  # a group tag: the sides at the section
-            from .tits import value_at
-            sides = [value_at(s, v) for v in sides]
-        else:
-            sides = [_adjoint_images(v) for v in sides]
-        # every field by position: the record's fast path
-        checks.append(RelationCheck(tag, i, j, passed, *sides))
-    return RelationReport(s.n, tuple(checks))

@@ -1,5 +1,5 @@
 """The coordinate operators attached to braid generators: their action on
-the algebra, the relations they satisfy, and the report plumbing."""
+the algebra, and the relations they satisfy, read off the verdict rows."""
 
 import random
 from fractions import Fraction
@@ -8,8 +8,7 @@ import pytest
 
 import titslift.sweep as sweep
 from titslift.autos import (AlgebraAutomorphism, _combine, _tau_power,
-                            conjugation_automorphism, report_from_json,
-                            report_to_json, tau_generator,
+                            conjugation_automorphism, tau_generator,
                             verify_group_relations, verify_theorem1)
 from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
@@ -17,10 +16,8 @@ from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
                              dimension, generator, slot)
 from titslift.linalg import Matrix, exp_nilpotent
 from titslift.records import TitsSection
-from titslift.relations import (RelationCheck, RelationReport,
-                                _adjoint_images, verify)
-from titslift.tits import (GroupElement, MonomialDecomposition, Permutation,
-                           monomial_word, sigma_generator, word_fold)
+from titslift.tits import (GroupElement, Permutation, monomial_word,
+                           sigma_generator, value_at, word_fold)
 
 # algebra-level tag -> group-level tag of the same relation family
 PAIR_TAGS = {"0.2": "2.9", "0.4": "2.10", "0.5": "2.11", "0.6": "2.12"}
@@ -175,13 +172,18 @@ def test_conjugation_by_diagonal_fixes_cartan_coordinates():
         assert conj.apply(h) == h
 
 
-def test_group_and_algebra_reports_agree_instance_by_instance():
+def _verdicts(rows, tags=None):
+    """(tag, i, j) -> passed for verdict rows, each tag mapped by tags."""
+    return {(tags[tag] if tags else tag, i, j): passed
+            for tag, i, j, passed, *_ in rows}
+
+
+def test_group_and_algebra_reports_agree_instance_by_instance(
+        adjoint_images):
     rng = random.Random(91)
     for n in (1, 2, 3):
-        adjoint = {(PAIR_TAGS[r.tag], r.i, r.j): r.passed
-                   for r in verify_theorem1(n).relations}
-        group = {(r.tag, r.i, r.j): r.passed
-                 for r in verify_group_relations(TitsSection.ones(n)).relations}
+        adjoint = _verdicts(verify_theorem1(n), PAIR_TAGS)
+        group = _verdicts(verify_group_relations(TitsSection.ones(n)))
         assert adjoint == group
         # the values themselves, not just the verdicts: each side's
         # generator images are the generator columns of dense conjugation
@@ -199,12 +201,12 @@ def test_group_and_algebra_reports_agree_instance_by_instance():
             conj = conjugation_automorphism(_dense_word(s, w), n)
             columns = _generator_columns(conj)
             assert all(len(col) == 1 for col in columns)
-            assert _adjoint_images(fold(w)) == tuple(
+            assert adjoint_images(fold(w)) == tuple(
                 (basis[r].row, basis[r].col, x)
                 for col in columns for r, x in col.items())
 
 
-def test_read_off_images_match_the_operator_walk():
+def test_read_off_images_match_the_operator_walk(adjoint_images):
     # the images read off the word's value at a = 1 against the images
     # walked through the columns of tau_i and its inverse
     rng = random.Random(29)
@@ -213,7 +215,7 @@ def test_read_off_images_match_the_operator_walk():
         for _ in range(30):
             w = BraidWord(n, tuple((rng.randint(1, n), rng.choice((1, -1)))
                                    for _ in range(rng.randint(0, 12))))
-            assert _adjoint_images(fold(w)) == _walked_images(n, w.letters)
+            assert adjoint_images(fold(w)) == _walked_images(n, w.letters)
 
 
 def test_generator_matches_the_exp_ad_product():
@@ -263,8 +265,8 @@ def test_sparse_and_dense_forms_agree():
 
 def _use_table(monkeypatch, table):
     """Make the sweep read these instances: sweep.verdict_rows, under
-    relations.verify and the CLI, reads the relation table as rows of
-    plain letters through relation_words."""
+    autos and the CLI, reads the relation table as rows of plain letters
+    through relation_words."""
     rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
             for t in table]
     monkeypatch.setattr(sweep, "relation_words", lambda k: rows)
@@ -291,50 +293,25 @@ def _flip_last_exponent(inst):
 @pytest.mark.parametrize("mutate,tag", [(_square_is_trivial, "2.11"),
                                         (_flip_last_exponent, "2.12")])
 def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
-                                                     tag):
+                                                     tag, adjoint_images):
     for n in (2, 3):
         table = [mutate(inst) for inst in relation_instances(n)]
         _use_table(monkeypatch, table)
-        adjoint = verify_theorem1(n)
-        group = verify_group_relations(TitsSection(n, (2,) * n))
-        failed = {(PAIR_TAGS[r.tag], r.i, r.j) for r in adjoint.failures()}
-        assert failed == {(r.tag, r.i, r.j) for r in group.failures()}
+        s = TitsSection(n, (2,) * n)
+        adjoint = [r for r in verify_theorem1(n) if not r[3]]
+        group = [r for r in verify_group_relations(s) if not r[3]]
+        failed = set(_verdicts(adjoint, PAIR_TAGS))
+        assert failed == set(_verdicts(group))
         assert failed and {t for t, _, _ in failed} == {tag}
-        assert not report_to_json(adjoint)["all_pass"]
-        assert not report_to_json(group)["all_pass"]
-        # failing checks keep each level's own values of the two sides
-        for r in group.failures():
-            assert isinstance(r.left, MonomialDecomposition)
-            assert isinstance(r.right, MonomialDecomposition)
-            assert r.left.reconstruct().m != r.right.reconstruct().m
-        for r in adjoint.failures():
-            assert isinstance(r.left, tuple) and isinstance(r.right, tuple)
-            assert len(r.left) == len(r.right) == 2 * n
-            assert r.left != r.right
-
-
-def _unchanged(inst):
-    return inst
-
-
-@pytest.mark.parametrize("mutate", [_unchanged, _square_is_trivial,
-                                    _flip_last_exponent])
-def test_records_and_cli_rows_agree(monkeypatch, mutate):
-    # the CLI writes sweep.verdict_rows in their order; relations.verify
-    # builds its records from them and RelationReport sorts the records by
-    # (tag, i, j), so this pins that the two orders agree and that no
-    # verdict is lost, added or flipped on the way to the records
-    failed = False
-    for n in range(1, 7):
-        table = [mutate(inst) for inst in relation_instances(n)]
-        _use_table(monkeypatch, table)
-        s = TitsSection(n, tuple(Fraction(-k, 3) for k in range(1, n + 1)))
-        for level in ("group", "adjoint", "all"):
-            rows = [row[:4] for row in sweep.verdict_rows(n, level)]
-            assert [(r.tag, r.i, r.j, r.passed)
-                    for r in verify(s, level).relations] == rows
-            failed |= not all(passed for *_, passed in rows)
-    assert failed == (mutate is not _unchanged)
+        # a failing row keeps the two sides' values at a = 1: a group
+        # failure's differ at the section, an algebra failure's in their
+        # generator images
+        for _, _, _, _, left, right in group:
+            assert value_at(s, left).reconstruct().m != \
+                value_at(s, right).reconstruct().m
+        for _, _, _, _, left, right in adjoint:
+            assert len(left) == len(right) == n + 1
+            assert adjoint_images(left) != adjoint_images(right)
 
 
 @pytest.mark.parametrize("mutate", [lambda inst: inst, _square_is_trivial,
@@ -349,8 +326,7 @@ def test_group_verdicts_match_the_dense_word_values(monkeypatch, mutate):
             s = TitsSection(n, tuple(
                 Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
                          rng.randint(1, 5)) for _ in range(n)))
-            verdicts = {(r.tag, r.i, r.j): r.passed
-                        for r in verify_group_relations(s).relations}
+            verdicts = _verdicts(verify_group_relations(s))
             assert verdicts == {
                 (inst.tag, inst.i, inst.j):
                     _dense_word(s, inst.left).m == _dense_word(s, inst.right).m
@@ -374,8 +350,7 @@ def test_adjoint_verdicts_match_the_dense_operator_products(monkeypatch,
                 out = out * _tau_power(n, i, e).op
             return out
 
-        verdicts = {(PAIR_TAGS[r.tag], r.i, r.j): r.passed
-                    for r in verify_theorem1(n).relations}
+        verdicts = _verdicts(verify_theorem1(n), PAIR_TAGS)
         assert verdicts == {
             (inst.tag, inst.i, inst.j):
                 dense(inst.left) == dense(inst.right)
@@ -387,8 +362,8 @@ def test_algebra_level_cannot_see_the_centre_at_rank_one(monkeypatch):
     # S_1^2 = 1 while conjugation by -1 is the identity operator
     table = [_square_is_trivial(inst) for inst in relation_instances(1)]
     _use_table(monkeypatch, table)
-    assert not verify_group_relations(TitsSection.ones(1)).all_pass
-    assert verify_theorem1(1).all_pass
+    assert not all(r[3] for r in verify_group_relations(TitsSection.ones(1)))
+    assert all(r[3] for r in verify_theorem1(1))
 
 
 def test_algebra_passes_exactly_when_the_group_quotient_is_central():
@@ -440,9 +415,9 @@ def test_algebra_verdict_is_l_equals_plus_or_minus_r(monkeypatch):
         s = TitsSection(n, tuple(Fraction(rng.choice((-3, -1, 2, 5)),
                                           rng.randint(1, 4))
                                  for _ in range(n)))
-        report = verify(s, "all")
-        adjoint = {r.i: r.passed for r in report.relations if r.tag == "0.2"}
-        group = {r.i: r.passed for r in report.relations if r.tag == "2.9"}
+        rows = sweep.verdict_rows(n, "all")
+        adjoint = {r[1]: r[3] for r in rows if r[0] == "0.2"}
+        group = {r[1]: r[3] for r in rows if r[0] == "2.9"}
         for inst in table:
             walked = (_walked_images(n, inst.left.letters)
                       == _walked_images(n, inst.right.letters))
@@ -471,10 +446,8 @@ def test_conjugation_dim_mismatch():
 
 def test_verify_theorem1_small_ranks():
     for n in (1, 2):
-        rep = verify_theorem1(n)
-        assert rep.all_pass
-        assert rep.failures() == []
-    tags = {r.tag for r in verify_theorem1(2).relations}
+        assert all(r[3] for r in verify_theorem1(n))
+    tags = {r[0] for r in verify_theorem1(2)}
     assert tags == {"0.2", "0.4", "0.5", "0.6"}
 
 
@@ -482,17 +455,13 @@ def test_verify_theorem1_above_rank_eight():
     # the verdicts at the all-ones section, instance by instance
     for n in (12, 16):
         adjoint = verify_theorem1(n)
-        assert adjoint.all_pass
+        assert all(r[3] for r in adjoint)
         group = verify_group_relations(TitsSection.ones(n))
-        assert ({(PAIR_TAGS[r.tag], r.i, r.j): r.passed
-                 for r in adjoint.relations}
-                == {(r.tag, r.i, r.j): r.passed for r in group.relations})
+        assert _verdicts(adjoint, PAIR_TAGS) == _verdicts(group)
 
 
 def test_verify_theorem1_rank_one_has_only_the_order_relation():
-    rep = verify_theorem1(1)
-    assert [r.tag for r in rep.relations] == ["0.5"]
-    assert rep.all_pass
+    assert verify_theorem1(1) == [("0.5", 1, 1, True)]
 
 
 def test_generator_slots_are_built_once_per_rank(monkeypatch):
@@ -506,7 +475,7 @@ def test_generator_slots_are_built_once_per_rank(monkeypatch):
         return slot(n, idx)
     monkeypatch.setattr(autos, "slot", counted)
     _tau_power.cache_clear()
-    assert verify_theorem1(4).all_pass
+    assert all(r[3] for r in verify_theorem1(4))
     assert calls == []
     assert _tau_power.cache_info().currsize == 0
 
@@ -522,116 +491,20 @@ def test_group_sweep_looks_each_lift_up_once(monkeypatch):
     calls = []
     monkeypatch.setattr(tits, "monomial_lift",
                         lambda *args: calls.append(args))
-    assert verify_group_relations(s).all_pass
+    assert all(r[3] for r in verify_group_relations(s))
     assert calls == []
 
 
 def test_verify_group_relations():
     from fractions import Fraction
-    rep = verify_group_relations(TitsSection(2, (Fraction(3, 7), -2)))
-    assert rep.all_pass
-    assert {r.tag for r in rep.relations} == {"2.9", "2.10", "2.11", "2.12"}
+    rows = verify_group_relations(TitsSection(2, (Fraction(3, 7), -2)))
+    assert all(r[3] for r in rows)
+    assert {r[0] for r in rows} == {"2.9", "2.10", "2.11", "2.12"}
 
 
 def test_report_order_is_deterministic():
-    rep = verify_theorem1(3)
-    keys = [(r.tag, r.i, r.j) for r in rep.relations]
+    keys = [r[:3] for r in verify_theorem1(3)]
     assert keys == sorted(keys)
-
-
-def test_report_json_round_trip():
-    rep = verify_theorem1(2)
-    obj = report_to_json(rep)
-    assert obj["n"] == 2
-    assert obj["all_pass"] is True
-    assert all(set(r) == {"tag", "i", "j", "pass"} for r in obj["relations"])
-    back = report_from_json(obj)
-    assert back.n == rep.n
-    assert [(r.tag, r.i, r.j, r.passed) for r in back.relations] == \
-        [(r.tag, r.i, r.j, r.passed) for r in rep.relations]
-    with pytest.raises(ValueError):
-        report_from_json({"n": 2})
-
-
-def _group_report(n):
-    """The JSON document of a passing group-level sweep at rank n."""
-    return report_to_json(verify(TitsSection.ones(n), "group"))
-
-
-@pytest.mark.parametrize("field,value", [
-    ("pass", "false"), ("pass", 0), ("pass", None), ("i", "x"), ("j", 1.0),
-    ("i", True), ("tag", 2.9), ("n", "two"), ("n", False)])
-def test_report_from_json_rejects_fields_of_the_wrong_type(field, value):
-    # the string "false" is truthy: read as a verdict, the report passed
-    obj = _group_report(2)
-    row = obj["relations"][0]
-    assert report_from_json(obj).all_pass
-    (obj if field == "n" else row)[field] = value
-    with pytest.raises(ValueError):
-        report_from_json(obj)
-
-
-def test_report_from_json_rejects_entries_no_sweep_writes():
-    # tag 9.9 and indices outside 1..n read back as a passing report
-    with pytest.raises(ValueError):
-        report_from_json({"n": 2, "relations": [
-            {"tag": "9.9", "i": 7, "j": -1, "pass": True}],
-            "all_pass": False})
-    for bad in ({"tag": "0.3"}, {"tag": "2.9 "}, {"i": 0}, {"j": 3},
-                {"i": -1}):
-        obj = _group_report(2)
-        obj["relations"][0].update(bad)
-        with pytest.raises(ValueError):
-            report_from_json(obj)
-    for all_pass in (False, 1, "true", None):
-        with pytest.raises(ValueError):
-            report_from_json(dict(_group_report(2), all_pass=all_pass))
-    # a failing report round-trips with its all_pass
-    rep = verify(TitsSection.ones(2), "all")
-    failed = RelationReport(2, rep.relations[:-1] + (
-        RelationCheck(*(getattr(rep.relations[-1], f)
-                        for f in ("tag", "i", "j")), False),))
-    obj = report_to_json(failed)
-    assert obj["all_pass"] is False
-    assert report_from_json(obj) == failed
-    assert report_from_json(_group_report(2)).all_pass
-
-
-def test_report_from_json_reads_back_only_the_rows_of_a_sweep():
-    # each row is valid on its own, but 2.9 needs i != j, 2.11 needs
-    # i == j, and no sweep writes a row twice
-    row = {"tag": "2.11", "i": 1, "j": 2, "pass": True}
-    with pytest.raises(ValueError, match="rows of rank 2"):
-        report_from_json({"n": 2, "relations": [
-            {"tag": "2.9", "i": 1, "j": 1, "pass": True}, row, row],
-            "all_pass": True})
-    with pytest.raises(ValueError, match="rows of rank 2"):
-        report_from_json({"n": 2, "relations": [], "all_pass": True})
-    for n in (2, 3):
-        for level in ("group", "adjoint", "all"):
-            obj = report_to_json(verify(TitsSection.ones(n), level))
-            assert report_from_json(obj).n == n
-            rows = obj["relations"]
-            # a row dropped, a row repeated in its place or on top, or a
-            # row moved to the other level
-            other = {**PAIR_TAGS, **{g: a for a, g in PAIR_TAGS.items()}}
-            for changed in (rows[1:], rows[:-1] + rows[:1], rows + rows[:1],
-                            rows[:-1] + [{**rows[-1],
-                                          "tag": other[rows[-1]["tag"]]}]):
-                with pytest.raises(ValueError, match=f"rows of rank {n}"):
-                    report_from_json({"n": n, "relations": changed})
-    # a rank no table could hold is refused by the count, not built
-    with pytest.raises(ValueError, match="rows of rank"):
-        report_from_json({"n": 10 ** 9, "relations": [row]})
-
-
-def test_report_all_pass_reflects_failures():
-    rep = RelationReport(1, (
-        RelationCheck("0.5", 1, 1, True),
-        RelationCheck("0.2", 1, 2, False)))
-    assert not rep.all_pass
-    assert len(rep.failures()) == 1
-    assert report_to_json(rep)["all_pass"] is False
 
 
 def test_eigenvalue_buckets_travel_with_the_generator():

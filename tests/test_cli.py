@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import titslift.autos as autos
-import titslift.relations as relations
 import titslift.sweep as sweep
 from titslift.braid import (BraidWord, RelationInstance, parse_word,
                             relation_instances)
@@ -149,31 +148,37 @@ def _flip_last_exponent(inst):
 def test_verify_report_text_is_the_indented_json(tmp_path, capsys,
                                                  monkeypatch, level, mutate):
     # verify writes its report without json; the text must stay what
-    # json.dumps(report_to_json(...), indent=2) gives, failures included
+    # json.dumps(..., indent=2) gives for the report built here from the
+    # verdict rows of both levels, sorted by (tag, i, j), failures included
     params = ["2/3", "-5", "7", "1/4"]
     for n in (1, 2, 3, 4):
         if mutate is not None:
             rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
                     for t in map(mutate, relation_instances(n))]
             monkeypatch.setattr(sweep, "relation_words", lambda k: rows)
-        checks = ()
+        checks = []
         if level != "group":
-            checks += autos.verify_theorem1(n).relations
+            checks += autos.verify_theorem1(n)
         if level != "adjoint":
             checks += autos.verify_group_relations(
-                TitsSection(n, tuple(Fraction(a) for a in params[:n]))
-            ).relations
-        report = relations.RelationReport(n, checks)
-        expected = json.dumps(autos.report_to_json(report), indent=2)
-        assert report.all_pass or mutate is not None
-        assert not report.all_pass or mutate is None or n < 2
+                TitsSection(n, tuple(Fraction(a) for a in params[:n])))
+        checks.sort(key=lambda r: r[:3])
+        all_pass = all(r[3] for r in checks)
+        expected = json.dumps({
+            "n": n,
+            "relations": [{"tag": tag, "i": i, "j": j, "pass": passed}
+                          for tag, i, j, passed, *_ in checks],
+            "all_pass": all_pass,
+        }, indent=2)
+        assert all_pass or mutate is not None
+        assert not all_pass or mutate is None or n < 2
         argv = ["verify", "--n", str(n), "--level", level,
                 "--params=" + ",".join(params[:n])]
         code, out, _ = run(capsys, argv)
-        assert (code, out) == (0 if report.all_pass else 1, expected + "\n")
+        assert (code, out) == (0 if all_pass else 1, expected + "\n")
         path = tmp_path / "report.json"
         code, out, _ = run(capsys, argv + ["--json", str(path)])
-        assert (code, out) == (0 if report.all_pass else 1, "")
+        assert (code, out) == (0 if all_pass else 1, "")
         assert path.read_text() == expected + "\n"
         monkeypatch.undo()
 

@@ -124,14 +124,14 @@ def _lines(modules):
 @pytest.mark.parametrize("argv,budget", [
     (["verify", "--n", "3", "--level", "all"], 380),
     (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
-     727),
-    (["normalizer-check", "--matrix", "m.json"], 570),
+     636),
+    (["normalizer-check", "--matrix", "m.json"], 541),
 ], ids=["verify", "eval-word", "normalizer-check"])
 def test_subcommands_compile_at_most_their_line_budget(tmp_path, argv,
                                                        budget):
     # where no bytecode is cached, a call compiles every line of every
     # package module it loads; eval-word and normalizer-check keep the
-    # counts they had when verify still shared eval-word's modules
+    # counts they had when the record layer left relations and records
     (tmp_path / "m.json").write_text(json.dumps(
         {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
     code, modules = _loaded(tmp_path, argv)
@@ -216,11 +216,9 @@ def test_public_names_resolve_to_their_home_modules():
         assert getattr(obj, "__module__", home) == home, name
 
 
-# the only function-level package import outside cli: it keeps tits out
-# of verify's module set (see the tests above)
-LAZY_IMPORTS = {
-    ("relations", "verify", "tits"),  # verify compiles no tits
-}
+# no function-level package import outside cli, whose subcommands each
+# import the code they run (see the tests above)
+LAZY_IMPORTS = set()
 
 
 def test_package_imports_sit_at_module_level():

@@ -17,7 +17,6 @@ from titslift.braid import (BraidWord, natural_projection, parse_word,
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
 from titslift.records import TitsSection, scalar_to_str
-from titslift.relations import _adjoint_images
 from titslift.sweep import letters_fold
 from titslift.tits import (GroupElement, MonomialDecomposition,
                            NoExactWitness, NotInNormalizer, Permutation,
@@ -356,7 +355,8 @@ def test_fold_values_are_the_extended_weyl_group():
             assert sigma.sign() * (-1) ** signs == 1
 
 
-def test_adjoint_group_is_the_quotient_by_plus_minus_one_at_odd_rank():
+def test_adjoint_group_is_the_quotient_by_plus_minus_one_at_odd_rank(
+        adjoint_images):
     # Ad(v) = Ad(w) exactly when v = +-w, so <tau_i> has one element per
     # fold value up to sign.  -I has determinant (-1)^(n+1), so it is a
     # fold value exactly when n is odd: there <tau_i> is the quotient of
@@ -369,7 +369,7 @@ def test_adjoint_group_is_the_quotient_by_plus_minus_one_at_odd_rank():
         assert len(values) == order
         assert len(classes) == (order // 2 if n % 2 else order), n
         # the generator images tell the automorphisms apart
-        assert len({_adjoint_images(v) for v in values}) == len(classes)
+        assert len({adjoint_images(v) for v in values}) == len(classes)
         assert (tuple(-k for k in range(1, n + 2)) in values) == (n % 2 == 1)
 
 
