@@ -10,13 +10,14 @@ table is written in ``sweep``; ``relation_instances`` views it here.
 
 from __future__ import annotations
 
-from .records import frozen
+from dataclasses import dataclass
+
 from .relations import check_letter, parse_letters, signed_letters
 from .sweep import Letter, Letters, relation_words
 from .tits import Permutation
 
 
-@frozen
+@dataclass(frozen=True)
 class BraidWord:
     """A word over S_1..S_n, stored literally (not freely reduced)."""
 
@@ -65,9 +66,6 @@ class BraidWord:
                 stack.append(letter)
         return BraidWord(self.n, tuple(stack))
 
-    def __str__(self) -> str:
-        return word_to_text(self)
-
 
 def parse_word(n: int, text: str) -> BraidWord:
     """Parse the whitespace-separated signed-integer format, e.g. "1 2 -1"."""
@@ -95,7 +93,7 @@ def is_pure(w: BraidWord) -> bool:
     return natural_projection(w).is_identity()
 
 
-@frozen
+@dataclass(frozen=True)
 class RelationInstance:
     """One relation template: assert left and right evaluate equally."""
 

@@ -13,21 +13,22 @@ LieElement.to_matrix / from_matrix.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 from .linalg import Matrix
-from .records import Scalar, canonical, frozen
+from .records import Scalar, canonical
 
 
-@frozen
+@dataclass(frozen=True)
 class OffDiagonal:
     """Basis slot for the matrix unit E_{row,col}, row != col, 1-based."""
     row: int
     col: int
 
 
-@frozen
+@dataclass(frozen=True)
 class Cartan:
     """Basis slot for the simple coroot h_index, 1 <= index <= n."""
     index: int
@@ -79,7 +80,7 @@ def slot(n: int, idx: BasisIndex) -> int:
     return _slot_of(n)[idx]
 
 
-@frozen
+@dataclass(frozen=True)
 class LieElement:
     """A traceless matrix, stored as coordinates over the fixed basis."""
 

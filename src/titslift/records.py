@@ -1,17 +1,5 @@
-"""Immutable record classes declared by annotated fields, and the exact
-scalars their fields hold.
-
-``@frozen`` gives a class whose body lists annotated fields, in order,
-the behaviour of ``dataclasses.dataclass(frozen=True)`` that this package
-uses: an ``__init__`` taking the fields by position or keyword, with a
-class-level value as the field's default, that ends by calling
-``__post_init__`` when the class has one; ``==`` and ``hash`` over the
-field values, with ``NotImplemented`` against any other class; the repr
-``Name(field=value, ...)``; and assignment and deletion that raise
-AttributeError.
-
-The methods are plain closures, so defining a record compiles no code at
-import time; every CLI call is a fresh process and pays for that.
+"""The exact scalars, and ``TitsSection``, the one record a CLI call
+builds.
 
 A scalar is an int or a ``fractions.Fraction`` in canonical form: a
 Fraction with denominator 1 collapses to an int, so equality is plain
@@ -22,11 +10,9 @@ scalar grammar, which ``relations.parse_letters`` also reads words with.
 
 import re
 from fractions import Fraction
-from operator import attrgetter
 
 Scalar = int | Fraction
 
-_MISSING = object()
 INT_TEXT = re.compile(r"-?[0-9]+")  # unlike int(): no "+1", "1_0" or "١"
 _SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -84,80 +70,48 @@ def scalar_to_str(x: Scalar) -> str:
     return str(Fraction(x))
 
 
-def frozen(cls):
-    """Make cls a frozen record; the module docstring lists what it adds."""
-    names = tuple(vars(cls).get("__annotations__", {}))
-    defaults = {k: vars(cls)[k] for k in names if k in vars(cls)}
-    get = attrgetter(*names)
-    key = get if len(names) > 1 else lambda self: (get(self),)
-    post = getattr(cls, "__post_init__", None)
+class TitsSection:
+    """Nonzero parameters a_1..a_n choosing one lift per braid generator.
 
-    def bind(args, kwargs):
-        rest = names[len(args):]
-        if len(args) > len(names) or not set(kwargs).issubset(rest):
-            raise TypeError(f"{cls.__qualname__}() takes the fields "
-                            f"{names}, got {args!r} and {kwargs!r}")
-        values = list(args)
-        for name in rest:
-            values.append(kwargs.get(name, defaults.get(name, _MISSING)))
-            if values[-1] is _MISSING:
-                raise TypeError(
-                    f"{cls.__qualname__}() missing field {name!r}")
-        return values
+    Written out rather than a dataclass, whose import every eval-word
+    and verify --params call would pay for; it behaves as a frozen one:
+    fields by position or keyword, ``==`` and ``hash`` over (n, params),
+    the repr ``TitsSection(n=..., params=...)`` and no assignment.
+    """
 
-    def __init__(self, *args, **kwargs):
-        # every field given by position is the hot path: no binding
-        if kwargs or len(args) != len(names):
-            args = bind(args, kwargs)
-        vars(self).update(zip(names, args))
-        if post is not None:
-            self.__post_init__()
+    __slots__ = ("n", "params")
+
+    def __init__(self, n: int, params: tuple[Scalar, ...]):
+        if n < 1:
+            raise ValueError(f"rank must be at least 1, got {n}")
+        if len(params) != n:
+            raise ValueError(f"rank {n} needs {n} parameters")
+        params = tuple(canonical(a) for a in params)
+        if any(a == 0 for a in params):
+            raise ValueError("section parameters must be nonzero")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "params", params)
+
+    @classmethod
+    def ones(cls, n: int) -> "TitsSection":
+        return cls(n, (1,) * n)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return key(self) == key(other)
+            return (self.n, self.params) == (other.n, other.params)
         return NotImplemented
 
     def __hash__(self):
-        return hash(key(self))
+        return hash((self.n, self.params))
 
     def __repr__(self):
-        body = ", ".join(f"{k}={getattr(self, k)!r}" for k in names)
-        return f"{self.__class__.__qualname__}({body})"
+        return f"TitsSection(n={self.n!r}, params={self.params!r})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    for method in (__init__, __eq__, __hash__, __repr__, __setattr__,
-                   __delattr__):
-        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-        setattr(cls, method.__name__, method)
-    return cls
-
-
-@frozen
-class TitsSection:
-    """Nonzero parameters a_1..a_n choosing one lift per braid generator."""
-
-    n: int
-    params: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"rank must be at least 1, got {self.n}")
-        if len(self.params) != self.n:
-            raise ValueError(f"rank {self.n} needs {self.n} parameters")
-        params = tuple(canonical(a) for a in self.params)
-        object.__setattr__(self, "params", params)
-        if any(a == 0 for a in params):
-            raise ValueError("section parameters must be nonzero")
-
-    @classmethod
-    def ones(cls, n: int) -> "TitsSection":
-        return cls(n, (1,) * n)
 
 
 def parse_section(n: int, text: str | None) -> TitsSection:

@@ -9,11 +9,12 @@ notation, as ``tits.Permutation``.
 
 from __future__ import annotations
 
-from .records import frozen
+from dataclasses import dataclass
+
 from .tits import Permutation
 
 
-@frozen
+@dataclass(frozen=True)
 class RootVector:
     """An integer vector over eps_1..eps_{n+1} with entries summing to 0."""
 
@@ -32,10 +33,6 @@ class RootVector:
     def is_root(self) -> bool:
         """True for eps_i - eps_j vectors: one +1, one -1, rest 0."""
         return sorted(self.eps) == [-1] + [0] * (self.n - 1) + [1]
-
-    def __add__(self, other: RootVector) -> RootVector:
-        return RootVector(self.n, tuple(a + b for a, b in
-                                        zip(self.eps, other.eps)))
 
     def __sub__(self, other: RootVector) -> RootVector:
         return RootVector(self.n, tuple(a - b for a, b in

@@ -17,13 +17,14 @@ lack is reported, not approximated.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, Callable
 
 from .linalg import Matrix, exp_nilpotent
-from .records import Scalar, TitsSection, canonical, frozen
+from .records import Scalar, TitsSection, canonical
 from .relations import check_letter, scales_at
 from .rows import NotInNormalizer, monomial_columns
 from .sweep import letters_fold
@@ -36,7 +37,7 @@ class NoExactWitness(ValueError):
     """The conjugating torus element would need an irrational root."""
 
 
-@frozen
+@dataclass(frozen=True)
 class Permutation:
     """A bijection of {1, .., n_points}; images[k-1] = sigma(k)."""
 
@@ -92,7 +93,7 @@ class Permutation:
         return "[" + " ".join(str(k) for k in self.images) + "]"
 
 
-@frozen
+@dataclass(frozen=True)
 class GroupElement:
     """A square rational matrix with determinant exactly one."""
 
@@ -167,7 +168,7 @@ def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
     return monomial_word(s, w).reconstruct()
 
 
-@frozen
+@dataclass(frozen=True)
 class MonomialDecomposition:
     """A monomial matrix as (permutation, column scales).
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import titslift.sweep as sweep
-from titslift.autos import (AlgebraAutomorphism, _combine, _tau_power,
+from titslift.autos import (AlgebraAutomorphism, _tau_power,
                             conjugation_automorphism, tau_generator,
                             verify_group_relations, verify_theorem1)
 from titslift.braid import BraidWord, RelationInstance, relation_instances
@@ -19,30 +19,38 @@ from titslift.records import TitsSection
 from titslift.tits import (GroupElement, Permutation, monomial_word,
                            sigma_generator, value_at, word_fold)
 
+from conftest import block
+
 # algebra-level tag -> group-level tag of the same relation family
 PAIR_TAGS = {"0.2": "2.9", "0.4": "2.10", "0.5": "2.11", "0.6": "2.12"}
 
 
 def _dense_word(s, w):
-    """The dense product of the dense lifts and their inverses."""
+    """The dense product of the written-out lifts and their inverses."""
     out = GroupElement.identity(s.n + 1)
     for i, e in w.letters:
-        g = sigma_generator(s, i)
+        g = GroupElement(block(s, i))
         out = out * (g if e == 1 else g.inv())
     return out
 
 
+def _column(op, k):
+    """Column k of a dense operator, as a dict from row to its nonzero
+    entry."""
+    return {r: row[k] for r, row in enumerate(op.rows) if row[k] != 0}
+
+
 def _walked_images(n, letters):
     """The images of e_1..e_n, f_1..f_n under tau_{l1} o ... o tau_{lm},
-    walked through the sparse columns of the operators, last letter
-    first; each image is one root vector, as (row, column, coefficient).
+    walked through the columns of the operators, last letter first; each
+    image is one root vector, as (row, column, coefficient).
     """
     images = [(slot(n, OffDiagonal(k, k + 1)), 1) for k in range(1, n + 1)]
     images += [(slot(n, OffDiagonal(k + 1, k)), 1) for k in range(1, n + 1)]
     for i, e in reversed(letters):
-        cols = _tau_power(n, i, e).cols
+        op = _tau_power(n, i, e).op
         for k, (r, x) in enumerate(images):
-            (t, y), = cols[r].items()  # a root line: one entry or raise
+            (t, y), = _column(op, r).items()  # a root line: one entry or raise
             images[k] = (t, x * y)
     basis = basis_indices(n)
     return tuple((basis[r].row, basis[r].col, x) for r, x in images)
@@ -137,7 +145,7 @@ def test_apply_rank_mismatch():
 
 def test_operator_size_validation():
     with pytest.raises(ValueError):
-        AlgebraAutomorphism(2, tuple({k: 1} for k in range(3)))
+        AlgebraAutomorphism(2, Matrix.identity(3))
 
 
 def test_matches_conjugation_by_the_lift():
@@ -145,7 +153,7 @@ def test_matches_conjugation_by_the_lift():
         s = TitsSection.ones(n)
         for i in range(1, n + 1):
             lhs = tau_generator(n, i)
-            rhs = conjugation_automorphism(sigma_generator(s, i), n)
+            rhs = conjugation_automorphism(GroupElement(block(s, i)), n)
             assert lhs.op == rhs.op
 
 
@@ -219,7 +227,7 @@ def test_read_off_images_match_the_operator_walk(adjoint_images):
 
 
 def test_generator_matches_the_exp_ad_product():
-    # the closed form against the dense product it replaces
+    # conjugation by the lift against the dense exp(ad) product
     for n in range(1, 5):
         for i in range(1, n + 1):
             ad_e = ad_matrix(generator(n, "e", i))
@@ -233,34 +241,13 @@ def test_generator_matches_the_exp_ad_product():
             assert inverse == dense.inv()
 
 
-def _columns(m):
-    """The sparse columns of a dense matrix, zeros dropped."""
-    return tuple({r: row[k] for r, row in enumerate(m.rows) if row[k] != 0}
-                 for k in range(m.dim))
-
-
-def _generator_columns(op):
-    """The columns of op at e_1..e_n, then at f_1..f_n."""
-    n = op.n
-    return (tuple(op.cols[slot(n, OffDiagonal(k, k + 1))]
+def _generator_columns(auto):
+    """The columns of the operator at e_1..e_n, then at f_1..f_n."""
+    n = auto.n
+    return (tuple(_column(auto.op, slot(n, OffDiagonal(k, k + 1)))
                   for k in range(1, n + 1))
-            + tuple(op.cols[slot(n, OffDiagonal(k + 1, k))]
+            + tuple(_column(auto.op, slot(n, OffDiagonal(k + 1, k)))
                     for k in range(1, n + 1)))
-
-
-def test_sparse_and_dense_forms_agree():
-    rng = random.Random(71)
-    n = 2
-    d = dimension(n)
-    a = Matrix([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
-    b = Matrix([[rng.choice([0, 0, Fraction(rng.randint(-3, 3), 2)])
-                 for _ in range(d)] for _ in range(d)])
-    cols = tuple(_combine(_columns(a), col) for col in _columns(b))
-    assert AlgebraAutomorphism(n, cols).op == a * b
-    assert cols == _columns(a * b)
-    assert all(0 not in col.values() for col in cols)
-    assert all(type(x) is int or x.denominator != 1
-               for col in cols for x in col.values())
 
 
 def _use_table(monkeypatch, table):
@@ -464,19 +451,11 @@ def test_verify_theorem1_rank_one_has_only_the_order_relation():
     assert verify_theorem1(1) == [("0.5", 1, 1, True)]
 
 
-def test_generator_slots_are_built_once_per_rank(monkeypatch):
+def test_generator_slots_are_built_once_per_rank():
     # the images are read off the word's value, so the algebra sweep
-    # never looks up a basis slot, nor builds an operator
-    import titslift.autos as autos
-    calls = []
-
-    def counted(n, idx):
-        calls.append(idx)
-        return slot(n, idx)
-    monkeypatch.setattr(autos, "slot", counted)
+    # never builds an operator
     _tau_power.cache_clear()
     assert all(r[3] for r in verify_theorem1(4))
-    assert calls == []
     assert _tau_power.cache_info().currsize == 0
 
 

@@ -1,8 +1,9 @@
-"""The frozen-record decorator and the package's record classes.
+"""The package's record classes.
 
-The decorator stands in for dataclasses.dataclass(frozen=True), so one
-class body is declared both ways and the two are held to the same
-construction, equality, hash and repr.
+The toolkit's records are frozen dataclasses.  ``TitsSection``, the one
+record a CLI call builds, is written out by hand so that no call imports
+``dataclasses``; it is held here to the construction, equality, hash and
+repr of a frozen dataclass twin.
 """
 
 import dataclasses
@@ -11,60 +12,71 @@ from fractions import Fraction
 import pytest
 
 from titslift.liealg import Cartan, OffDiagonal
-from titslift.records import TitsSection, frozen
+from titslift.records import TitsSection, canonical
 from titslift.tits import Permutation, monomial_lift, sigma_generator
 
 
-def _both():
-    """One class body as a frozen record and as a frozen dataclass."""
+@dataclasses.dataclass(frozen=True)
+class Twin:
+    """TitsSection's fields and checks, as a frozen dataclass."""
 
-    def body():
-        class Pair:
-            a: int
-            b: object = "b"
-            c: object = None
+    n: int
+    params: tuple
 
-            def __post_init__(self):
-                object.__setattr__(self, "a", int(self.a))
-        return Pair
-
-    return frozen(body()), dataclasses.dataclass(frozen=True)(body())
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"rank must be at least 1, got {self.n}")
+        if len(self.params) != self.n:
+            raise ValueError(f"rank {self.n} needs {self.n} parameters")
+        params = tuple(canonical(a) for a in self.params)
+        object.__setattr__(self, "params", params)
+        if any(a == 0 for a in params):
+            raise ValueError("section parameters must be nonzero")
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    (("1",), {}), ((1, 2), {}), ((1, 2, 3), {}), ((), {"a": 1, "c": [3]}),
-    ((1,), {"c": 5, "b": 4}),
+    ((1, ("2",)), {}), ((2, (Fraction(4, 2), "-1/3")), {}),
+    ((3, [1, 2, 3]), {}), ((), {"params": (1, 5), "n": 2}),
+    ((2,), {"params": (Fraction(1, 3), 7)}),
 ])
 def test_record_matches_frozen_dataclass(args, kwargs):
-    ours, theirs = _both()
-    x, y = ours(*args, **kwargs), theirs(*args, **kwargs)
-    assert (x.a, x.b, x.c) == (y.a, y.b, y.c)
-    assert repr(x) == repr(y)
-    if isinstance(x.c, list):
-        return  # an unhashable field leaves both unhashable
+    x, y = TitsSection(*args, **kwargs), Twin(*args, **kwargs)
+    assert (x.n, x.params) == (y.n, y.params)
+    assert repr(x) == repr(y).replace("Twin", "TitsSection", 1)
     assert hash(x) == hash(y)
-    assert x == ours(*args, **kwargs)
-    assert x != ours(x.a, x.b, "other")
+    assert x == TitsSection(*args, **kwargs)
+    assert x != TitsSection(x.n, (-1,) * x.n)
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    ((), {}), ((1, 2, 3, 4), {}), ((1,), {"a": 2}), ((1,), {"d": 2}),
+    ((), {}), ((1, (1,), 3), {}), ((1,), {"n": 2}), ((1,), {"d": 2}),
 ])
 def test_record_rejects_bad_arguments_like_dataclass(args, kwargs):
-    for cls in _both():
+    for cls in (TitsSection, Twin):
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
 
 
+def test_record_rejects_bad_fields_like_dataclass():
+    for args in ((0, ()), (2, (1,)), (1, (0,)), (1, (0.5,)), (1, ("+1",))):
+        messages = []
+        for cls in (TitsSection, Twin):
+            with pytest.raises(ValueError) as caught:
+                cls(*args)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1], args
+
+
 def test_records_are_frozen():
-    p = Permutation((2, 1))
-    with pytest.raises(AttributeError):
-        p.images = (1, 2)
-    with pytest.raises(AttributeError):
-        del p.images
-    with pytest.raises(AttributeError):
-        p.extra = 1
-    assert p.images == (2, 1)
+    for record, field in ((Permutation((2, 1)), "images"),
+                          (TitsSection(2, (2, 1)), "params")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, (1, 2))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, field) == (2, 1)
 
 
 def test_equality_and_hash_follow_fields():
@@ -77,14 +89,17 @@ def test_equality_and_hash_follow_fields():
 
 
 def test_records_of_different_classes_differ():
-    # the same field, equal values
-    @frozen
+    # the same fields, equal values
+    @dataclasses.dataclass(frozen=True)
     class Index:
         index: int
 
-    assert Cartan(2) != Index(2)
-    assert Cartan(2).__eq__(Index(2)) is NotImplemented
-    assert Cartan(2) != (2,)
+    for record, other, fields in ((Cartan(2), Index(2), (2,)),
+                                  (TitsSection(1, (2,)), Twin(1, (2,)),
+                                   (1, (2,)))):
+        assert record != other
+        assert record.__eq__(other) is NotImplemented
+        assert record != fields
 
 
 def test_repr_names_the_fields():

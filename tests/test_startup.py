@@ -124,14 +124,14 @@ def _lines(modules):
 @pytest.mark.parametrize("argv,budget", [
     (["verify", "--n", "3", "--level", "all"], 380),
     (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
-     636),
-    (["normalizer-check", "--matrix", "m.json"], 541),
+     590),
+    (["normalizer-check", "--matrix", "m.json"], 495),
 ], ids=["verify", "eval-word", "normalizer-check"])
 def test_subcommands_compile_at_most_their_line_budget(tmp_path, argv,
                                                        budget):
     # where no bytecode is cached, a call compiles every line of every
     # package module it loads; eval-word and normalizer-check keep the
-    # counts they had when the record layer left relations and records
+    # counts they had when records lost its record decorator
     (tmp_path / "m.json").write_text(json.dumps(
         {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
     code, modules = _loaded(tmp_path, argv)
@@ -183,6 +183,16 @@ def test_no_module_imports_cli():
             else:
                 continue
             assert "cli" not in names, (path.stem, ast.dump(node))
+
+
+def test_library_code_has_no_assert():
+    # python -O strips assert statements, and every invariant of the
+    # package must still raise under it
+    for path in sorted((ROOT / "src" / "titslift").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert lines == [], (path.name, lines)
 
 
 def test_rows_imports_only_records_at_module_level():

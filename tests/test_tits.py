@@ -26,6 +26,8 @@ from titslift.tits import (GroupElement, MonomialDecomposition,
                            sigma_generator, torus_generation_witness,
                            value_at, word_fold)
 
+from conftest import block
+
 
 def random_section(rng, n):
     return TitsSection(n, tuple(
@@ -67,16 +69,6 @@ def test_section_validation():
     assert TitsSection.ones(3).params == (1, 1, 1)
 
 
-def _block(s, i):
-    """The i-th lift of s written out: the identity outside slots i, i+1,
-    where it is the block (0, a_i; -1/a_i, 0)."""
-    a = Fraction(s.params[i - 1])
-    rows = [[int(r == c) for c in range(s.n + 1)] for r in range(s.n + 1)]
-    rows[i - 1][i - 1:i + 1] = 0, a
-    rows[i][i - 1:i + 1] = -1 / a, 0
-    return Matrix(rows)
-
-
 def test_sigma_block_shape():
     s = TitsSection(2, (Fraction(2, 3), 5))
     g = sigma_generator(s, 1)
@@ -98,10 +90,10 @@ def test_sigma_block_shape():
         for _ in range(3):
             s = random_section(rng, n)
             for i in range(1, n + 1):
-                block = _block(s, i)
-                assert sigma_generator(s, i).m == block
-                assert monomial_lift(s, i, 1).reconstruct().m == block
-                assert monomial_lift(s, i, -1).reconstruct().m == block.inv()
+                lift = block(s, i)
+                assert sigma_generator(s, i).m == lift
+                assert monomial_lift(s, i, 1).reconstruct().m == lift
+                assert monomial_lift(s, i, -1).reconstruct().m == lift.inv()
 
 
 def test_sigma_square_and_fourth_power():
@@ -218,12 +210,12 @@ def test_monomial_word_validates_once_per_word(monkeypatch):
 
 
 def _dense_product(s, w):
-    """The product of the dense lifts and their dense inverses."""
+    """The product of the written-out lifts and their dense inverses."""
     lifts = {}
     out = Matrix.identity(s.n + 1)
     for i, e in w.letters:
         if (i, e) not in lifts:
-            g = sigma_generator(s, i).m
+            g = block(s, i)
             lifts[i, e] = g if e == 1 else g.inv()
         out = out * lifts[i, e]
     return out
