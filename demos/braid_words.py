@@ -1,19 +1,18 @@
 """Words in braid generators and their shadow in the symmetric group.
 
-A word is a sequence of signed generator indices.  Free reduction cancels
-adjacent inverse pairs; the projection forgets signs and multiplies out
+A word is a sequence of signed generator indices, stored as letters
+(i, e) for S_i^e.  The projection forgets signs and multiplies out
 adjacent transpositions.  A word is called pure when that projection is
 the identity permutation.
 """
 
-from titslift import (is_pure, natural_projection, parse_word,
-                      relation_instances, word_to_text)
+from titslift.braid import (is_pure, natural_projection, parse_word,
+                            relation_instances)
 
 n = 3
 w = parse_word(n, "1 2 -1 3 1 -1")
-print("word:", word_to_text(w))
-print("freely reduced:", word_to_text(w.free_reduce()))
-print("projection to permutations:", natural_projection(w))
+print("letters:", w.letters)
+print("projection to permutations:", natural_projection(w).images)
 print("pure?", is_pure(w))
 print()
 
@@ -28,5 +27,5 @@ print()
 print("relation instances for rank 2:")
 for inst in relation_instances(2):
     print(f"  [{inst.tag}] i={inst.i} j={inst.j}:  "
-          f"{word_to_text(inst.left) or '(empty)'}  ==  "
-          f"{word_to_text(inst.right) or '(empty)'}")
+          f"{inst.left.letters or '(empty)'}  ==  "
+          f"{inst.right.letters or '(empty)'}")

@@ -6,7 +6,7 @@ a determinant of 1 means exactly 1, not 0.9999999999999998.
 
 from fractions import Fraction
 
-from titslift import Matrix, exp_nilpotent
+from titslift.linalg import Matrix, exp_nilpotent
 
 m = Matrix([[1, Fraction(1, 2)], [Fraction(1, 3), 1]])
 print("m =", m)

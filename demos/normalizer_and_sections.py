@@ -10,10 +10,11 @@ root exists; both directions are shown below.
 
 from fractions import Fraction
 
-from titslift import (GroupElement, Matrix, NoExactWitness, TitsSection,
-                      conjugation_witness, coset_class, evaluate_word,
-                      normalizer_decompose, parse_word, sigma_generator,
-                      torus_generation_witness)
+from titslift.braid import parse_word
+from titslift.records import TitsSection
+from titslift.tits import (NoExactWitness, conjugation_witness, coset_class,
+                           evaluate_word, normalizer_decompose,
+                           sigma_generator)
 
 n = 2
 s = TitsSection(n, (Fraction(2, 3), 5))
@@ -28,18 +29,9 @@ g = evaluate_word(s, parse_word(n, "1 2 1"))
 dec = normalizer_decompose(g)
 print("word '1 2 1' evaluates to:")
 print(" ", g.m)
-print("permutation part:", dec.sigma, " scales:", dec.scales)
-print("coset class:", coset_class(g))
+print("permutation part:", dec.sigma.images, " scales:", dec.scales)
+print("coset class:", coset_class(g).images)
 assert dec.reconstruct().m == g.m
-print()
-
-# Every diagonal determinant-one matrix factors through the rank-one
-# subgroups sitting in consecutive slots.
-t = GroupElement(Matrix.diagonal([Fraction(3, 2), Fraction(4, 3), Fraction(1, 2)]))
-factors = torus_generation_witness(t)
-print("torus element", t.m.diagonal_entries())
-for k, f in enumerate(factors, start=1):
-    print(f"  factor {k}:", f.m.diagonal_entries())
 print()
 
 # Two sections are conjugate by a torus element when the required root

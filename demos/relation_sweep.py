@@ -11,7 +11,7 @@ section.  The CLI writes the verdict rows as one JSON report.
 import sys
 import time
 
-from titslift import verify_theorem1
+from titslift.autos import verify_theorem1
 from titslift.cli import main
 
 for n in (1, 2, 3, 8):

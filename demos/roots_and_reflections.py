@@ -2,12 +2,12 @@
 
 Roots live as integer vectors e_i - e_j.  Reflecting in the root e_i - e_j
 is the same thing as swapping coordinates i and j, and the script checks
-that equivalence on the whole root inventory before exercising reduced
-words for transpositions.
+that equivalence on the whole root inventory.
 """
 
-from titslift import (Permutation, all_roots, pairing, reflect, root,
-                      simple_root, transposition_word, weyl_action)
+from titslift.roots import (all_roots, pairing, reflect, root, simple_root,
+                            weyl_action)
+from titslift.tits import Permutation
 
 n = 3
 roots = all_roots(n)
@@ -31,10 +31,3 @@ print(f"reflect {beta.eps} in {alpha.eps} ->", reflect(alpha, beta).eps)
 swap = Permutation.transposition(n + 1, 1, 2)
 same = all(reflect(alpha, b) == weyl_action(swap, b) for b in roots)
 print("reflection in e1-e2 equals the coordinate swap (1 2):", same)
-print()
-
-# Any transposition factors into adjacent swaps; the words returned here
-# are checked against the permutation they are supposed to produce.
-for (i, j) in [(1, 3), (2, 4), (1, 4)]:
-    word = transposition_word(i, j, n)
-    print(f"({i} {j}) as adjacent swaps:", word)

@@ -6,8 +6,8 @@ then differences of diagonal units) so that linear maps on the algebra
 become honest coordinate matrices.
 """
 
-from titslift import (ad_matrix, basis_indices, bracket, decompose_by_cartan,
-                      dimension, generator)
+from titslift.liealg import (ad_matrix, basis_indices, bracket,
+                             decompose_by_cartan, dimension, generator)
 
 n = 2
 print(f"rank {n}: dimension {dimension(n)}")

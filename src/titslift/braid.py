@@ -1,11 +1,10 @@
 """Words over the Artin generators S_1..S_n and their projection to the
 symmetric group on n+1 letters.
 
-Words are never rewritten with braid relations (that would be the word
-problem); equality of the group elements they denote is checked downstream
-by evaluating both sides as matrices.  The only rewriting here is free
-reduction, the cancellation of adjacent S_i S_i^{-1} pairs.  The relation
-table is written in ``sweep``; ``relation_instances`` views it here.
+Words are stored as written, never rewritten (with braid relations that
+would be the word problem); equality of the group elements they denote is
+checked downstream by evaluating both sides.  The relation table is
+written in ``sweep``; ``relation_instances`` views it here.
 """
 
 from __future__ import annotations
@@ -19,12 +18,14 @@ from .tits import Permutation
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word over S_1..S_n, stored literally (not freely reduced)."""
+    """A word over S_1..S_n, stored as written."""
 
     n: int
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:  # a bool is not a rank
+            raise ValueError(f"rank must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"rank must be at least 1, got {self.n}")
         letters = []
@@ -37,10 +38,6 @@ class BraidWord:
         object.__setattr__(self, "letters", tuple(letters))
 
     @classmethod
-    def empty(cls, n: int) -> BraidWord:
-        return cls(n, ())
-
-    @classmethod
     def from_ints(cls, n: int, signed: list[int] | tuple[int, ...]) -> BraidWord:
         """Build from signed indices: -k means S_k inverse.
 
@@ -49,31 +46,10 @@ class BraidWord:
         """
         return cls(n, signed_letters(n, signed))
 
-    def to_ints(self) -> tuple[int, ...]:
-        return tuple(i * e for i, e in self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def free_reduce(self) -> BraidWord:
-        """Cancel adjacent inverse pairs until none remain."""
-        stack: list[Letter] = []
-        for letter in self.letters:
-            if stack and stack[-1][0] == letter[0] and \
-                    stack[-1][1] == -letter[1]:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return BraidWord(self.n, tuple(stack))
-
 
 def parse_word(n: int, text: str) -> BraidWord:
     """Parse the whitespace-separated signed-integer format, e.g. "1 2 -1"."""
     return BraidWord(n, parse_letters(n, text))
-
-
-def word_to_text(w: BraidWord) -> str:
-    return " ".join(str(v) for v in w.to_ints())
 
 
 def natural_projection(w: BraidWord) -> Permutation:

@@ -21,7 +21,8 @@ def canonical(x: Scalar | str) -> Scalar:
     """Return x as an int when integral, else as a reduced Fraction.
 
     Accepts ints, Fractions and strings "p" or "p/q" like "-3/2"; floats,
-    bools and other strings ("1.5", "+3") are rejected with ValueError.
+    bools, other strings ("1.5", "+3") and zero denominators ("1/0") are
+    rejected with ValueError.
 
     >>> from fractions import Fraction
     >>> canonical(Fraction(4, 2))
@@ -37,7 +38,10 @@ def canonical(x: Scalar | str) -> Scalar:
     if isinstance(x, str) and not _SCALAR_TEXT.fullmatch(x):
         raise ValueError(f'scalar string must be "p" or "p/q", got {x!r}')
     if not isinstance(x, Fraction):
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     return int(x) if x.denominator == 1 else x
 
 
@@ -59,10 +63,7 @@ def parse_scalar(x: object) -> Scalar:
     if not isinstance(x, str) or not _SCALAR_TEXT.fullmatch(x):
         raise ValueError(
             f'scalar must be an int or a string "p" or "p/q", got {x!r}')
-    try:
-        return canonical(Fraction(x))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {x!r}") from None
+    return canonical(x)
 
 
 def scalar_to_str(x: Scalar) -> str:
@@ -82,6 +83,8 @@ class TitsSection:
     __slots__ = ("n", "params")
 
     def __init__(self, n: int, params: tuple[Scalar, ...]):
+        if type(n) is not int:  # a bool is not a rank
+            raise ValueError(f"rank must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"rank must be at least 1, got {n}")
         if len(params) != n:

@@ -38,9 +38,6 @@ class RootVector:
         return RootVector(self.n, tuple(a - b for a, b in
                                         zip(self.eps, other.eps)))
 
-    def __neg__(self) -> RootVector:
-        return RootVector(self.n, tuple(-a for a in self.eps))
-
     def __rmul__(self, c: int) -> RootVector:
         return RootVector(self.n, tuple(c * a for a in self.eps))
 
@@ -107,22 +104,3 @@ def weyl_action(sigma: Permutation, beta: RootVector) -> RootVector:
         eps[sigma(k) - 1] = c
     return RootVector(beta.n, tuple(eps))
 
-
-def transposition_word(i: int, j: int, n: int) -> tuple[int, ...]:
-    """A word in the simple transpositions whose product is (i j).
-
-    The word climbs from s_i up to s_{j-1} and back down, and the result
-    is certified at construction by composing the permutations.
-
-    >>> transposition_word(1, 3, 2)
-    (1, 2, 1)
-    """
-    if not 1 <= i < j <= n + 1:
-        raise ValueError(f"need 1 <= i < j <= {n + 1}, got ({i}, {j})")
-    word = tuple(range(i, j)) + tuple(range(j - 2, i - 1, -1))
-    product = Permutation.identity(n + 1)
-    for k in word:
-        product = product * Permutation.transposition(n + 1, k, k + 1)
-    if product != Permutation.transposition(n + 1, i, j):
-        raise AssertionError(f"word {word} fails to compose to ({i} {j})")
-    return word

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .linalg import Matrix, exp_nilpotent
 from .records import Scalar, TitsSection, canonical
@@ -89,9 +89,6 @@ class Permutation:
                          if a > b)
         return -1 if inversions % 2 else 1
 
-    def __str__(self) -> str:
-        return "[" + " ".join(str(k) for k in self.images) + "]"
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -138,18 +135,6 @@ def exp_construction(n: int, i: int) -> GroupElement:
     return GroupElement(exp_nilpotent(e) * exp_nilpotent(-f) * exp_nilpotent(e))
 
 
-def word_fold(n: int) -> Callable[[BraidWord], tuple[int, ...]]:
-    """The map taking a rank-n braid word to its value at a = 1: the
-    sweep.letters_fold of its letters, once its rank is checked."""
-    fold = letters_fold(n)
-
-    def fold_word(w: BraidWord) -> tuple[int, ...]:
-        if w.n != n:
-            raise ValueError(f"need a rank-{n} word, got rank {w.n}")
-        return fold(w.letters)
-    return fold_word
-
-
 def value_at(s: TitsSection, value: tuple[int, ...]) -> MonomialDecomposition:
     """A value at a = 1 moved to the section s (relations.scales_at, which
     states the torus conjugation), validated once."""
@@ -159,8 +144,10 @@ def value_at(s: TitsSection, value: tuple[int, ...]) -> MonomialDecomposition:
 
 def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
     """Evaluate a braid word as a product of section lifts: its value at
-    a = 1, moved to s.  To value many words, build word_fold(n) once."""
-    return value_at(s, word_fold(s.n)(w))
+    a = 1, moved to s.  To value many words, build letters_fold(n) once."""
+    if w.n != s.n:
+        raise ValueError(f"need a rank-{s.n} word, got rank {w.n}")
+    return value_at(s, letters_fold(s.n)(w.letters))
 
 
 def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
@@ -223,30 +210,6 @@ def coset_class(x: GroupElement) -> Permutation:
     """The torus coset of a monomial matrix, as a permutation: dividing x
     by any monomial matrix with that permutation lands in the torus."""
     return normalizer_decompose(x).sigma
-
-
-def torus_generation_witness(x: GroupElement) -> list[GroupElement]:
-    """Factor a diagonal determinant-one matrix across the rank-one tori.
-
-    The i-th factor is the identity outside slots (i, i+1), where it
-    carries (P_i, 1/P_i) with P_i the product of the first i diagonal
-    entries of x; the factors telescope back to x.  Over the rationals
-    every nonzero P_i is allowed, so every such matrix factors exactly.
-    """
-    if not x.m.is_diagonal():
-        raise ValueError("matrix is not diagonal")
-    dim = x.dim
-    if dim < 2:
-        raise ValueError("need dimension at least 2")
-    diag = x.m.diagonal_entries()
-    factors = []
-    running: Scalar = 1
-    for i in range(1, dim):
-        running = canonical(Fraction(running) * Fraction(diag[i - 1]))
-        entries = [1] * dim
-        entries[i - 1:i + 1] = running, canonical(1 / Fraction(running))
-        factors.append(GroupElement(Matrix.diagonal(entries)))
-    return factors
 
 
 def _int_nth_root(m: int, k: int) -> int:

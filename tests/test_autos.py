@@ -16,8 +16,9 @@ from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
                              dimension, generator, slot)
 from titslift.linalg import Matrix, exp_nilpotent
 from titslift.records import TitsSection
+from titslift.sweep import letters_fold
 from titslift.tits import (GroupElement, Permutation, monomial_word,
-                           sigma_generator, value_at, word_fold)
+                           sigma_generator, value_at)
 
 from conftest import block
 
@@ -204,12 +205,12 @@ def test_group_and_algebra_reports_agree_instance_by_instance(
         words += [BraidWord(n, tuple((rng.randint(1, n), rng.choice((1, -1)))
                                      for _ in range(rng.randint(1, 8))))
                   for _ in range(10)]
-        fold, basis = word_fold(n), basis_indices(n)
+        fold, basis = letters_fold(n), basis_indices(n)
         for w in words:
             conj = conjugation_automorphism(_dense_word(s, w), n)
             columns = _generator_columns(conj)
             assert all(len(col) == 1 for col in columns)
-            assert adjoint_images(fold(w)) == tuple(
+            assert adjoint_images(fold(w.letters)) == tuple(
                 (basis[r].row, basis[r].col, x)
                 for col in columns for r, x in col.items())
 
@@ -219,11 +220,12 @@ def test_read_off_images_match_the_operator_walk(adjoint_images):
     # walked through the columns of tau_i and its inverse
     rng = random.Random(29)
     for n in range(1, 7):
-        fold = word_fold(n)
+        fold = letters_fold(n)
         for _ in range(30):
             w = BraidWord(n, tuple((rng.randint(1, n), rng.choice((1, -1)))
                                    for _ in range(rng.randint(0, 12))))
-            assert adjoint_images(fold(w)) == _walked_images(n, w.letters)
+            assert adjoint_images(fold(w.letters)) == _walked_images(
+                n, w.letters)
 
 
 def test_generator_matches_the_exp_ad_product():

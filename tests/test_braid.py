@@ -1,5 +1,5 @@
-"""Braid words: parsing, free reduction, the projection to the symmetric
-group, and the generated table of relation instances."""
+"""Braid words: parsing, the projection to the symmetric group, and the
+generated table of relation instances."""
 
 from math import factorial
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from titslift.braid import (BraidWord, is_pure, natural_projection,
-                            parse_word, relation_instances, word_to_text)
+                            parse_word, relation_instances)
 from titslift.roots import pairing, simple_root
 from titslift.sweep import coxeter_entry, letters_fold, relation_words
 from titslift.tits import Permutation
@@ -19,12 +19,11 @@ def letters(n, max_len=10):
         max_size=max_len)
 
 
-def test_parse_and_print_round_trip():
-    w = parse_word(3, "1 2 -3 1")
+def test_parse_reads_signed_letters():
+    w = parse_word(3, " 1 2\t-3 1 ")
     assert w.letters == ((1, 1), (2, 1), (3, -1), (1, 1))
-    assert word_to_text(w) == "1 2 -3 1"
-    assert parse_word(3, word_to_text(w)) == w
-    assert parse_word(2, "") == BraidWord.empty(2)
+    assert w == BraidWord.from_ints(3, [1, 2, -3, 1])
+    assert parse_word(2, "") == BraidWord(2, ())
 
 
 def test_parse_rejects_bad_input():
@@ -48,25 +47,19 @@ def test_word_rejects_letters_that_are_not_ints():
     assert BraidWord(2, ([2, -1],)).letters == ((2, -1),)
 
 
+def test_word_rejects_a_rank_that_is_not_a_positive_int():
+    for n in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="rank must be an int"):
+            BraidWord(n, ())
+    with pytest.raises(ValueError, match="at least 1"):
+        BraidWord(0, ())
+
+
 def test_from_ints_rejects_letters_that_are_not_ints():
     for signed in ([True], [1, False], [1.0], ["2"], [-1.5]):
         with pytest.raises(ValueError, match="must be an int"):
             BraidWord.from_ints(2, signed)
     assert BraidWord.from_ints(2, [2, -1]).letters == ((2, 1), (1, -1))
-
-
-def test_free_reduction_cancels_adjacent_inverses():
-    w = parse_word(2, "1 -1 2")
-    assert w.free_reduce() == parse_word(2, "2")
-    inner = parse_word(2, "1 2 -2 -1")
-    assert inner.free_reduce() == BraidWord.empty(2)
-
-
-@given(letters(3))
-def test_word_times_inverse_reduces_to_empty(ls):
-    inverse = tuple((i, -e) for i, e in reversed(ls))
-    assert BraidWord(3, tuple(ls) + inverse).free_reduce() == \
-        BraidWord.empty(3)
 
 
 @given(letters(3), letters(3))
@@ -108,7 +101,7 @@ def test_relation_instances_rank_one():
     only = insts[0]
     assert only.tag == "2.11"
     assert only.left == parse_word(1, "1 1 1 1")
-    assert only.right == BraidWord.empty(1)
+    assert only.right == BraidWord(1, ())
 
 
 def test_relation_instances_rank_two_inventory():

@@ -43,6 +43,14 @@ def test_canonical_takes_only_fraction_strings():
             canonical(x)
     with pytest.raises(ValueError, match='"p" or "p/q"'):
         TitsSection(1, ("2.5",))
+    # the grammar admits a zero denominator, which is then named
+    for x in ("1/0", "0/0"):
+        with pytest.raises(ValueError, match=f"zero denominator in {x!r}"):
+            canonical(x)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        Matrix([["1/0"]])
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        TitsSection(1, ("1/0",))
 
 
 def test_scalar_to_str():

@@ -24,6 +24,8 @@ class Twin:
     params: tuple
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"rank must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"rank must be at least 1, got {self.n}")
         if len(self.params) != self.n:
@@ -58,7 +60,8 @@ def test_record_rejects_bad_arguments_like_dataclass(args, kwargs):
 
 
 def test_record_rejects_bad_fields_like_dataclass():
-    for args in ((0, ()), (2, (1,)), (1, (0,)), (1, (0.5,)), (1, ("+1",))):
+    for args in ((0, ()), (2, (1,)), (1, (0,)), (1, (0.5,)), (1, ("+1",)),
+                 (2.0, (1, 1)), (True, (1,))):
         messages = []
         for cls in (TitsSection, Twin):
             with pytest.raises(ValueError) as caught:

@@ -12,8 +12,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from titslift.braid import (BraidWord, natural_projection, parse_word,
-                            word_to_text)
+from titslift.braid import BraidWord, natural_projection, parse_word
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
 from titslift.records import TitsSection, scalar_to_str
@@ -23,8 +22,7 @@ from titslift.tits import (GroupElement, MonomialDecomposition,
                            conjugation_witness, coset_class, evaluate_word,
                            exp_construction, monomial_lift, monomial_word,
                            normalizer_decompose, rational_nth_root,
-                           sigma_generator, torus_generation_witness,
-                           value_at, word_fold)
+                           sigma_generator, value_at)
 
 from conftest import block
 
@@ -187,8 +185,7 @@ def test_word_permutation_is_the_natural_projection():
 
 def test_monomial_word_validates_once_per_word(monkeypatch):
     # a product of valid factors is valid, so only the word's value is
-    # built as a record, whatever the word's length; the rank's table of
-    # lifts is plain ints
+    # built as a record, whatever the word's length
     rng = random.Random(37)
     s = random_section(rng, 4)
     words = [BraidWord(4, tuple((rng.randint(1, 4), rng.choice((1, -1)))
@@ -201,8 +198,6 @@ def test_monomial_word_validates_once_per_word(monkeypatch):
             built.append(type(self).__name__)
             post(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    word_fold(4)
-    assert built == []
     for w, value in zip(words, expected):
         built.clear()
         assert monomial_word(s, w) == value
@@ -231,7 +226,7 @@ def test_generic_value_at_random_sections_is_the_dense_product():
     for _ in range(40):
         n = rng.randint(1, 6)
         w = _random_word(rng, n, 40)
-        value = word_fold(n)(w)
+        value = letters_fold(n)(w.letters)
         for _ in range(2):
             s = random_section(rng, n)
             assert value_at(s, value).reconstruct().m == _dense_product(s, w)
@@ -240,12 +235,12 @@ def test_generic_value_at_random_sections_is_the_dense_product():
     w = BraidWord(3, tuple((rng.randint(1, 3), rng.choice((1, -1)))
                            for _ in range(5000)))
     s = random_section(rng, 3)
-    assert value_at(s, word_fold(3)(w)).reconstruct().m == _dense_product(s, w)
+    assert value_at(s, letters_fold(3)(w.letters)).reconstruct().m == \
+        _dense_product(s, w)
 
 
 WORDS_AND_SECTIONS = st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.lists(st.tuples(st.integers(1, n), st.sampled_from((1, -1))),
-             max_size=30).map(lambda letters: BraidWord(n, tuple(letters))),
+    st.lists(st.integers(1, n) | st.integers(-n, -1), max_size=30),
     st.lists(st.fractions(-9, 9, max_denominator=9).filter(bool),
              min_size=n, max_size=n).map(
         lambda params: TitsSection(n, tuple(params)))))
@@ -257,11 +252,12 @@ def test_eval_word_prints_the_dense_product_of_determinant_one(case):
     # eval-word computes no determinant: its value has sign(sigma) times
     # the product of its scales equal to 1, as the dense product does,
     # and the matrix it prints is that dense product
-    w, s = case
-    dense = _dense_product(s, w)
+    signed, s = case
+    dense = _dense_product(s, BraidWord.from_ints(s.n, signed))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["eval-word", "--n", str(s.n), "--word", word_to_text(w),
+        code = main(["eval-word", "--n", str(s.n),
+                     "--word", " ".join(map(str, signed)),
                      "--params=" + ",".join(map(scalar_to_str, s.params))])
     assert code == 0
     payload = json.loads(out.getvalue())
@@ -277,7 +273,7 @@ def test_value_at_a_section_is_the_torus_conjugate_of_the_value_at_one():
     rng = random.Random(103)
     for _ in range(60):
         n = rng.randint(1, 6)
-        value = word_fold(n)(_random_word(rng, n, 40))
+        value = letters_fold(n)(_random_word(rng, n, 40).letters)
         s = random_section(rng, n)
         t = [Fraction(1)] * (n + 1)
         for k in reversed(range(n)):
@@ -299,28 +295,23 @@ def test_generic_and_section_verdicts_agree():
     outcomes = set()
     for _ in range(200):
         n = rng.randint(1, 6)
-        fold, s = word_fold(n), random_section(rng, n)
-        u = _random_word(rng, n, 20)
+        fold, s = letters_fold(n), random_section(rng, n)
+        u = _random_word(rng, n, 20).letters
         cut, i = rng.randint(0, len(u)), rng.randint(1, n)
         # S_i^4 = 1 holds at every section, S_i^2 is a sign change
         insert = ((i, rng.choice((1, -1))),) * rng.choice((2, 4))
-        v = BraidWord(n, u.letters[:cut] + insert + u.letters[cut:])
-        for x in (v, _random_word(rng, n, 20)):
+        v = u[:cut] + insert + u[cut:]
+        for x in (v, _random_word(rng, n, 20).letters):
             at_one = fold(u) == fold(x)
             assert at_one == (value_at(s, fold(u)) == value_at(s, fold(x)))
             outcomes.add(at_one)
     assert outcomes == {True, False}
 
 
-def _fold_closure(n, fold=None):
+def _fold_closure(n):
     """Every fold value at rank n, reached breadth first by extending
-    words one letter at a time and folding each new word: as a BraidWord
-    through word_fold, or as plain letters through fold when given."""
-    if fold is None:
-        word_value = word_fold(n)
-
-        def fold(letters):
-            return word_value(BraidWord(n, letters))
+    words one letter at a time and folding each new word."""
+    fold = letters_fold(n)
     letters = [(i, e) for i in range(1, n + 1) for e in (1, -1)]
     seen, frontier = {fold(())}, [()]
     while frontier:
@@ -355,7 +346,7 @@ def test_adjoint_group_is_the_quotient_by_plus_minus_one_at_odd_rank(
     # the lifts' group by +-I, of index 2, and at even n it is isomorphic
     # to that group
     for n in range(1, 6):
-        values = _fold_closure(n, letters_fold(n))
+        values = _fold_closure(n)
         classes = {frozenset((v, tuple(-x for x in v))) for v in values}
         order = 2 ** n * factorial(n + 1)
         assert len(values) == order
@@ -367,9 +358,9 @@ def test_adjoint_group_is_the_quotient_by_plus_minus_one_at_odd_rank(
 
 def test_fold_rejects_words_of_another_rank():
     with pytest.raises(ValueError, match="rank-2"):
-        word_fold(2)(BraidWord.from_ints(3, [3]))
+        monomial_word(TitsSection.ones(2), BraidWord.from_ints(3, [3]))
     with pytest.raises(ValueError, match="rank mismatch"):
-        value_at(TitsSection.ones(2), word_fold(3)(BraidWord.empty(3)))
+        value_at(TitsSection.ones(2), letters_fold(3)(()))
 
 
 def test_normalizer_decompose_diagonal_and_permutation():
@@ -435,29 +426,6 @@ def test_coset_class_is_multiplicative():
         x = evaluate_word(s, parse_word(n, " ".join(map(str, w1))))
         y = evaluate_word(s, parse_word(n, " ".join(map(str, w2))))
         assert coset_class(x * y) == coset_class(x) * coset_class(y)
-
-
-def test_torus_generation_witness():
-    rng = random.Random(13)
-    for dim in (2, 3, 4, 5):
-        for _ in range(5):
-            t = random_torus(rng, dim)
-            factors = torus_generation_witness(t)
-            assert len(factors) == dim - 1
-            prod = GroupElement.identity(dim)
-            for k, f in enumerate(factors, start=1):
-                assert f.m.is_diagonal()
-                diag = f.m.diagonal_entries()
-                for pos, val in enumerate(diag, start=1):
-                    if pos not in (k, k + 1):
-                        assert val == 1
-                prod = prod * f
-            assert prod.m == t.m
-
-
-def test_torus_generation_witness_rejects_non_diagonal():
-    with pytest.raises(ValueError):
-        torus_generation_witness(GroupElement(Matrix([[1, 1], [0, 1]])))
 
 
 def test_rational_nth_root():
