@@ -6,8 +6,8 @@ adjacent transpositions.  A word is called pure when that projection is
 the identity permutation.
 """
 
-from titslift.braid import (is_pure, natural_projection, parse_word,
-                            relation_instances)
+from titslift.braid import is_pure, natural_projection, parse_word
+from titslift.sweep import relation_words
 
 n = 3
 w = parse_word(n, "1 2 -1 3 1 -1")
@@ -23,9 +23,8 @@ print("'1 1' is pure:", is_pure(parse_word(n, "1 1")),
 print()
 
 # The generated relation table drives the verification commands; each
-# instance is a pair of words that must evaluate to the same matrix.
-print("relation instances for rank 2:")
-for inst in relation_instances(2):
-    print(f"  [{inst.tag}] i={inst.i} j={inst.j}:  "
-          f"{inst.left.letters or '(empty)'}  ==  "
-          f"{inst.right.letters or '(empty)'}")
+# row is a pair of words that must evaluate to the same matrix.
+print("relation table for rank 2:")
+for tag, i, j, left, right in relation_words(2):
+    print(f"  [{tag}] i={i} j={j}:  {left or '(empty)'}  ==  "
+          f"{right or '(empty)'}")

@@ -4,15 +4,16 @@ symmetric group on n+1 letters.
 Words are stored as written, never rewritten (with braid relations that
 would be the word problem); equality of the group elements they denote is
 checked downstream by evaluating both sides.  The relation table is
-written in ``sweep``; ``relation_instances`` views it here.
+written in ``sweep``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .liealg import check_rank
 from .relations import check_letter, parse_letters, signed_letters
-from .sweep import Letter, Letters, relation_words
+from .sweep import Letter, RelationRow, relation_words
 from .tits import Permutation
 
 
@@ -24,10 +25,7 @@ class BraidWord:
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
-        if type(self.n) is not int:  # a bool is not a rank
-            raise ValueError(f"rank must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"rank must be at least 1, got {self.n}")
+        check_rank(self.n)
         letters = []
         for x in self.letters:
             try:
@@ -69,30 +67,7 @@ def is_pure(w: BraidWord) -> bool:
     return natural_projection(w).is_identity()
 
 
-@dataclass(frozen=True)
-class RelationInstance:
-    """One relation template: assert left and right evaluate equally."""
-
-    tag: str
-    i: int
-    j: int
-    left: BraidWord
-    right: BraidWord
-
-
-def relation_instances(n: int) -> list[RelationInstance]:
-    """The rows of relation_words(n) as records of braid words.
-
-    The rows share their letter tuples, so each tuple object becomes one
-    BraidWord, shared by every instance that uses it.
-    """
-    words: dict[int, BraidWord] = {}  # id of a letter tuple -> its word
-
-    def word(letters: Letters) -> BraidWord:
-        w = words.get(id(letters))
-        if w is None:
-            w = words[id(letters)] = BraidWord(n, letters)
-        return w
-
-    return [RelationInstance(tag, i, j, word(left), word(right))
-            for tag, i, j, left, right in relation_words(n)]
+# kept because bench/traced_cli.py wraps it by name
+def relation_instances(n: int) -> list[RelationRow]:
+    """The relation table, sweep.relation_words(n)."""
+    return relation_words(n)

@@ -38,6 +38,8 @@ BasisIndex = Union[OffDiagonal, Cartan]
 
 
 def check_rank(n: int) -> None:
+    if type(n) is not int:  # a bool is not a rank
+        raise ValueError(f"rank must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .liealg import check_rank
 from .tits import Permutation
 
 
@@ -22,6 +23,7 @@ class RootVector:
     eps: tuple[int, ...]
 
     def __post_init__(self):
+        check_rank(self.n)
         object.__setattr__(self, "eps", tuple(self.eps))
         if len(self.eps) != self.n + 1:
             raise ValueError(f"rank {self.n} needs {self.n + 1} coordinates")
@@ -44,6 +46,7 @@ class RootVector:
 
 def root(n: int, i: int, j: int) -> RootVector:
     """The root eps_i - eps_j, for i != j in 1..n+1."""
+    check_rank(n)
     if i == j or not (1 <= i <= n + 1 and 1 <= j <= n + 1):
         raise ValueError(f"({i}, {j}) does not name a root for rank {n}")
     eps = [0] * (n + 1)
@@ -59,6 +62,7 @@ def simple_root(n: int, i: int) -> RootVector:
 
 
 def all_roots(n: int) -> list[RootVector]:
+    check_rank(n)
     return [root(n, i, j)
             for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
 

@@ -28,30 +28,22 @@ def relation_words(n: int) -> list[RelationRow]:
     (commuting squares), 2.11 (fourth power trivial) and 2.12 (square
     twisted by conjugation).  Families 2.9, 2.10 and 2.12 range over
     ordered pairs i != j; family 2.11 involves a single index and is
-    emitted once per i (so rank 1 still checks S_1^4).  Rows share their
-    letter tuples: the 2.9 and 2.10 sides at (j, i) are those at (i, j)
-    swapped, and the right side of 2.12 is a 2.10 word or S_j^2.  The
-    letters are written here, so they are not validated again.
+    emitted once per i (so rank 1 still checks S_1^4).  The letters are
+    written here, so they are not validated again.
     """
     if n < 1:
         raise ValueError(f"rank must be at least 1, got {n}")
     s = [(k, 1) for k in range(n + 1)]  # s[k] is the letter S_k
     square = [(x, x) for x in s]
     out = [("2.11", i, i, square[i] * 2, ()) for i in range(1, n + 1)]
-    sides = {}  # (i, j) with i < j -> m(i, j), the 2.9 and the 2.10 sides
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i < j:
-                m = coxeter_entry(i, j)
-                braid = (s[i], s[j], s[i])[:m], (s[j], s[i], s[j])[:m]
-                squares = square[i] + square[j], square[j] + square[i]
-                sides[i, j] = m, braid, squares
-            elif i > j:
-                m, braid, squares = sides[j, i]
-                braid, squares = braid[::-1], squares[::-1]
-            else:
+            if i == j:
                 continue
-            out.append(("2.9", i, j, *braid))
+            m = coxeter_entry(i, j)
+            out.append(("2.9", i, j, (s[i], s[j], s[i])[:m],
+                        (s[j], s[i], s[j])[:m]))
+            squares = square[i] + square[j], square[j] + square[i]
             out.append(("2.10", i, j, *squares))
             # S_j^2 S_i^e with e = -2 <alpha_j, h_i>: 2 when m = 3, else 0
             out.append(("2.12", i, j, (s[i], s[j], s[j], (i, -1)),

@@ -10,29 +10,21 @@ import titslift.sweep as sweep
 from titslift.autos import (AlgebraAutomorphism, _tau_power,
                             conjugation_automorphism, tau_generator,
                             verify_group_relations, verify_theorem1)
-from titslift.braid import BraidWord, RelationInstance, relation_instances
+from titslift.braid import BraidWord
 from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
                              basis_indices, bracket, decompose_by_cartan,
                              dimension, generator, slot)
 from titslift.linalg import Matrix, exp_nilpotent
 from titslift.records import TitsSection
-from titslift.sweep import letters_fold
+from titslift.sweep import letters_fold, relation_words
 from titslift.tits import (GroupElement, Permutation, monomial_word,
                            sigma_generator, value_at)
 
-from conftest import block
+from conftest import (block, dense_word, flip_last_exponent, mutant_id,
+                      square_is_trivial)
 
 # algebra-level tag -> group-level tag of the same relation family
 PAIR_TAGS = {"0.2": "2.9", "0.4": "2.10", "0.5": "2.11", "0.6": "2.12"}
-
-
-def _dense_word(s, w):
-    """The dense product of the written-out lifts and their inverses."""
-    out = GroupElement.identity(s.n + 1)
-    for i, e in w.letters:
-        g = GroupElement(block(s, i))
-        out = out * (g if e == 1 else g.inv())
-    return out
 
 
 def _column(op, k):
@@ -200,17 +192,16 @@ def test_group_and_algebra_reports_agree_instance_by_instance(
         # has the value of its reverse, so random words are added to show
         # that the last letter acts first.
         s = TitsSection.ones(n)
-        words = [w for inst in relation_instances(n)
-                 for w in (inst.left, inst.right)]
-        words += [BraidWord(n, tuple((rng.randint(1, n), rng.choice((1, -1)))
-                                     for _ in range(rng.randint(1, 8))))
+        words = [w for row in relation_words(n) for w in row[3:]]
+        words += [tuple((rng.randint(1, n), rng.choice((1, -1)))
+                        for _ in range(rng.randint(1, 8)))
                   for _ in range(10)]
         fold, basis = letters_fold(n), basis_indices(n)
         for w in words:
-            conj = conjugation_automorphism(_dense_word(s, w), n)
+            conj = conjugation_automorphism(GroupElement(dense_word(s, w)), n)
             columns = _generator_columns(conj)
             assert all(len(col) == 1 for col in columns)
-            assert adjoint_images(fold(w.letters)) == tuple(
+            assert adjoint_images(fold(w)) == tuple(
                 (basis[r].row, basis[r].col, x)
                 for col in columns for r, x in col.items())
 
@@ -252,40 +243,19 @@ def _generator_columns(auto):
                     for k in range(1, n + 1)))
 
 
-def _use_table(monkeypatch, table):
-    """Make the sweep read these instances: sweep.verdict_rows, under
-    autos and the CLI, reads the relation table as rows of plain letters
-    through relation_words."""
-    rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
-            for t in table]
+def _use_table(monkeypatch, rows):
+    """Make the sweep read these rows: sweep.verdict_rows, under autos and
+    the CLI, reads the relation table through relation_words."""
     monkeypatch.setattr(sweep, "relation_words", lambda k: rows)
 
 
-def _square_is_trivial(inst):
-    # S_i^2 = 1 in place of S_i^4 = 1
-    if inst.tag != "2.11":
-        return inst
-    return RelationInstance(inst.tag, inst.i, inst.j,
-                            BraidWord.from_ints(inst.left.n, [inst.i] * 2),
-                            inst.right)
-
-
-def _flip_last_exponent(inst):
-    # 2.12 with the left word's final S_i^{-1} changed to S_i
-    if inst.tag != "2.12":
-        return inst
-    letters = inst.left.letters[:-1] + ((inst.i, 1),)
-    return RelationInstance(inst.tag, inst.i, inst.j,
-                            BraidWord(inst.left.n, letters), inst.right)
-
-
-@pytest.mark.parametrize("mutate,tag", [(_square_is_trivial, "2.11"),
-                                        (_flip_last_exponent, "2.12")])
+@pytest.mark.parametrize("mutate,tag", [(square_is_trivial, "2.11"),
+                                        (flip_last_exponent, "2.12")],
+                         ids=mutant_id)
 def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
                                                      tag, adjoint_images):
     for n in (2, 3):
-        table = [mutate(inst) for inst in relation_instances(n)]
-        _use_table(monkeypatch, table)
+        _use_table(monkeypatch, [mutate(row) for row in relation_words(n)])
         s = TitsSection(n, (2,) * n)
         adjoint = [r for r in verify_theorem1(n) if not r[3]]
         group = [r for r in verify_group_relations(s) if not r[3]]
@@ -303,13 +273,13 @@ def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
             assert adjoint_images(left) != adjoint_images(right)
 
 
-@pytest.mark.parametrize("mutate", [lambda inst: inst, _square_is_trivial,
-                                    _flip_last_exponent])
+@pytest.mark.parametrize("mutate", [lambda row: row, square_is_trivial,
+                                    flip_last_exponent], ids=mutant_id)
 def test_group_verdicts_match_the_dense_word_values(monkeypatch, mutate):
     # the pair comparison of the sweep against the dense matrices
     rng = random.Random(83)
     for n in range(1, 5):
-        table = [mutate(inst) for inst in relation_instances(n)]
+        table = [mutate(row) for row in relation_words(n)]
         _use_table(monkeypatch, table)
         for _ in range(3):
             s = TitsSection(n, tuple(
@@ -317,40 +287,37 @@ def test_group_verdicts_match_the_dense_word_values(monkeypatch, mutate):
                          rng.randint(1, 5)) for _ in range(n)))
             verdicts = _verdicts(verify_group_relations(s))
             assert verdicts == {
-                (inst.tag, inst.i, inst.j):
-                    _dense_word(s, inst.left).m == _dense_word(s, inst.right).m
-                for inst in table}
+                (tag, i, j): dense_word(s, left) == dense_word(s, right)
+                for tag, i, j, left, right in table}
 
 
-@pytest.mark.parametrize("mutate", [lambda inst: inst, _square_is_trivial,
-                                    _flip_last_exponent])
+@pytest.mark.parametrize("mutate", [lambda row: row, square_is_trivial,
+                                    flip_last_exponent], ids=mutant_id)
 def test_adjoint_verdicts_match_the_dense_operator_products(monkeypatch,
                                                             mutate):
     # the generator-image comparison of the sweep against whole operators:
     # each word's dense product of its letters' operators
     for n in range(1, 5):
-        table = [mutate(inst) for inst in relation_instances(n)]
+        table = [mutate(row) for row in relation_words(n)]
         _use_table(monkeypatch, table)
         identity = Matrix.identity(dimension(n))
 
-        def dense(w):
+        def dense(letters):
             out = identity
-            for i, e in w.letters:
+            for i, e in letters:
                 out = out * _tau_power(n, i, e).op
             return out
 
         verdicts = _verdicts(verify_theorem1(n), PAIR_TAGS)
-        assert verdicts == {
-            (inst.tag, inst.i, inst.j):
-                dense(inst.left) == dense(inst.right)
-            for inst in table}
+        assert verdicts == {(tag, i, j): dense(left) == dense(right)
+                            for tag, i, j, left, right in table}
 
 
 def test_algebra_level_cannot_see_the_centre_at_rank_one(monkeypatch):
     # S_1^2 evaluates to -1, which is central: the group level rejects
     # S_1^2 = 1 while conjugation by -1 is the identity operator
-    table = [_square_is_trivial(inst) for inst in relation_instances(1)]
-    _use_table(monkeypatch, table)
+    _use_table(monkeypatch, [square_is_trivial(row)
+                             for row in relation_words(1)])
     assert not all(r[3] for r in verify_group_relations(TitsSection.ones(1)))
     assert all(r[3] for r in verify_theorem1(1))
 
@@ -360,23 +327,20 @@ def test_algebra_passes_exactly_when_the_group_quotient_is_central():
     # and a central monomial matrix is a scalar one: identity permutation,
     # all scales equal
     only_algebra = set()
-    for mutate in (lambda inst: inst, _square_is_trivial,
-                   _flip_last_exponent):
+    for mutate in (lambda row: row, square_is_trivial, flip_last_exponent):
         for n in range(1, 7):
             s = TitsSection.ones(n)
-            for inst in map(mutate, relation_instances(n)):
-                algebra = (_walked_images(n, inst.left.letters)
-                           == _walked_images(n, inst.right.letters))
+            for row in map(mutate, relation_words(n)):
+                tag, i, _, left, right = row
+                algebra = _walked_images(n, left) == _walked_images(n, right)
                 # the quotient L R^{-1} is the value of the word L R^{-1}
-                right_inverse = tuple((i, -e) for i, e in
-                                      reversed(inst.right.letters))
-                q = monomial_word(s, BraidWord(
-                    n, inst.left.letters + right_inverse))
+                right_inverse = tuple((k, -e) for k, e in reversed(right))
+                q = monomial_word(s, BraidWord(n, left + right_inverse))
                 central = q.sigma.is_identity() and len(set(q.scales)) == 1
-                assert algebra == central, (n, inst)
+                assert algebra == central, (n, row)
                 if algebra and set(q.scales) != {1}:  # a scalar q != 1: L != R
-                    only_algebra.add((mutate, n, inst.tag, inst.i))
-    assert only_algebra == {(_square_is_trivial, 1, "2.11", 1)}
+                    only_algebra.add((mutate, n, tag, i))
+    assert only_algebra == {(square_is_trivial, 1, "2.11", 1)}
 
 
 def test_algebra_verdict_is_l_equals_plus_or_minus_r(monkeypatch):
@@ -398,8 +362,7 @@ def test_algebra_verdict_is_l_equals_plus_or_minus_r(monkeypatch):
                      u[:cut] + ((i, rng.choice((1, -1))),) * 2 + u[cut:],
                      u[:cut] + ((i, 1),) * 4 + u[cut:],
                      u[:cut] + minus_one + u[cut:])[k % 4]
-            table.append(RelationInstance("2.9", k, k, BraidWord(n, u),
-                                          BraidWord(n, other)))
+            table.append(("2.9", k, k, u, other))
         _use_table(monkeypatch, table)
         s = TitsSection(n, tuple(Fraction(rng.choice((-3, -1, 2, 5)),
                                           rng.randint(1, 4))
@@ -407,13 +370,12 @@ def test_algebra_verdict_is_l_equals_plus_or_minus_r(monkeypatch):
         rows = sweep.verdict_rows(n, "all")
         adjoint = {r[1]: r[3] for r in rows if r[0] == "0.2"}
         group = {r[1]: r[3] for r in rows if r[0] == "2.9"}
-        for inst in table:
-            walked = (_walked_images(n, inst.left.letters)
-                      == _walked_images(n, inst.right.letters))
-            assert adjoint[inst.i] == walked, (n, inst)
-            assert group[inst.i] == (_dense_word(s, inst.left).m
-                                     == _dense_word(s, inst.right).m)
-            seen.add((n % 2, walked, group[inst.i]))
+        for row in table:
+            _, k, _, left, right = row
+            walked = _walked_images(n, left) == _walked_images(n, right)
+            assert adjoint[k] == walked, (n, row)
+            assert group[k] == (dense_word(s, left) == dense_word(s, right))
+            seen.add((n % 2, walked, group[k]))
     assert seen == {(p, a, g) for p in (0, 1) for a, g in
                     ((True, True), (False, False))} | {(1, True, False)}
 

@@ -1,14 +1,14 @@
 """Braid words: parsing, the projection to the symmetric group, and the
-generated table of relation instances."""
+generated table of relation instances, sweep.relation_words."""
 
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from titslift.braid import (BraidWord, is_pure, natural_projection,
-                            parse_word, relation_instances)
-from titslift.roots import pairing, simple_root
+from titslift.braid import BraidWord, is_pure, natural_projection, parse_word
+from titslift.liealg import dimension, generator
+from titslift.roots import RootVector, all_roots, pairing, root, simple_root
 from titslift.sweep import coxeter_entry, letters_fold, relation_words
 from titslift.tits import Permutation
 
@@ -53,6 +53,12 @@ def test_word_rejects_a_rank_that_is_not_a_positive_int():
             BraidWord(n, ())
     with pytest.raises(ValueError, match="at least 1"):
         BraidWord(0, ())
+    # the root system and the algebra share the check
+    for build in (lambda: RootVector(True, (1, -1)),
+                  lambda: generator(True, "e", 1), lambda: dimension(True),
+                  lambda: root(2.0, 1, 2), lambda: all_roots(2.0)):
+        with pytest.raises(ValueError, match="rank must be an int"):
+            build()
 
 
 def test_from_ints_rejects_letters_that_are_not_ints():
@@ -95,65 +101,38 @@ def test_coxeter_matrix():
     assert coxeter_entry(1, 3) == 2
 
 
+def _word(n, text):
+    return parse_word(n, text).letters
+
+
 def test_relation_instances_rank_one():
-    insts = list(relation_instances(1))
-    assert len(insts) == 1
-    only = insts[0]
-    assert only.tag == "2.11"
-    assert only.left == parse_word(1, "1 1 1 1")
-    assert only.right == BraidWord(1, ())
+    assert relation_words(1) == [("2.11", 1, 1, _word(1, "1 1 1 1"), ())]
 
 
 def test_relation_instances_rank_two_inventory():
-    insts = list(relation_instances(2))
-    by_tag = {}
-    for inst in insts:
-        by_tag.setdefault(inst.tag, []).append(inst)
-    assert sorted(by_tag) == ["2.10", "2.11", "2.12", "2.9"]
-    assert len(by_tag["2.9"]) == 2
-    assert len(by_tag["2.10"]) == 2
-    assert len(by_tag["2.11"]) == 2
-    assert len(by_tag["2.12"]) == 2
+    tags = [row[0] for row in relation_words(2)]
+    assert sorted(set(tags)) == ["2.10", "2.11", "2.12", "2.9"]
+    assert all(tags.count(tag) == 2 for tag in tags)
 
 
 def test_braid_instance_words_alternate():
-    insts = {(i.tag, i.i, i.j): i for i in relation_instances(3)}
-    braid_adj = insts[("2.9", 1, 2)]
-    assert braid_adj.left == parse_word(3, "1 2 1")
-    assert braid_adj.right == parse_word(3, "2 1 2")
-    braid_far = insts[("2.9", 1, 3)]
-    assert braid_far.left == parse_word(3, "1 3")
-    assert braid_far.right == parse_word(3, "3 1")
+    rows = {row[:3]: row[3:] for row in relation_words(3)}
+    assert rows["2.9", 1, 2] == (_word(3, "1 2 1"), _word(3, "2 1 2"))
+    assert rows["2.9", 1, 3] == (_word(3, "1 3"), _word(3, "3 1"))
 
 
 def test_twist_instance_exponents():
-    insts = {(i.tag, i.i, i.j): i for i in relation_instances(3)}
-    adj = insts[("2.12", 1, 2)]
-    assert adj.left == parse_word(3, "1 2 2 -1")
-    assert adj.right == parse_word(3, "2 2 1 1")
-    far = insts[("2.12", 1, 3)]
-    assert far.left == parse_word(3, "1 3 3 -1")
-    assert far.right == parse_word(3, "3 3")
-
-
-def test_relation_instances_build_each_word_once():
-    for n in range(1, 13):
-        ids = {}
-        for inst in relation_instances(n):
-            for w in (inst.left, inst.right):
-                ids.setdefault(w.letters, set()).add(id(w))
-        assert all(len(objects) == 1 for objects in ids.values()), n
-    # S_i^4 and S_i^2, the empty word, and per ordered pair the left
-    # words of 2.9, 2.10 and 2.12
-    assert len(ids) == 2 * 12 + 1 + 3 * 12 * 11 == 421
+    rows = {row[:3]: row[3:] for row in relation_words(3)}
+    assert rows["2.12", 1, 2] == (_word(3, "1 2 2 -1"), _word(3, "2 2 1 1"))
+    assert rows["2.12", 1, 3] == (_word(3, "1 3 3 -1"), _word(3, "3 3"))
 
 
 def test_projections_of_relation_instances_agree():
     # every relation already holds in the symmetric group
     for n in (1, 2, 3):
-        for inst in relation_instances(n):
-            assert natural_projection(inst.left) == natural_projection(
-                inst.right), (inst.tag, inst.i, inst.j)
+        for tag, i, j, left, right in relation_words(n):
+            assert natural_projection(BraidWord(n, left)) == \
+                natural_projection(BraidWord(n, right)), (tag, i, j)
 
 
 def _family_rows(n):
@@ -174,14 +153,9 @@ def _family_rows(n):
     return rows
 
 
-def test_relation_instances_are_the_rows_of_relation_words():
+def test_relation_words_are_the_four_families_written_out():
     for n in range(1, 9):
         assert relation_words(n) == _family_rows(n)
-        assert [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
-                for t in relation_instances(n)] == relation_words(n)
-    # the rows share their letter tuples as the instances share words
-    ids = {id(side) for row in relation_words(12) for side in row[3:]}
-    assert len(ids) == 421
 
 
 def test_twist_exponent_is_the_cartan_pairing():

@@ -17,14 +17,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import titslift.autos as autos
 import titslift.sweep as sweep
-from titslift.braid import (BraidWord, RelationInstance, parse_word,
-                            relation_instances)
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_from_json, matrix_to_json
 from titslift.records import TitsSection, parse_scalar, scalar_to_str
 from titslift.rows import NotInNormalizer
 from titslift.sweep import relation_words
-from titslift.tits import GroupElement, monomial_word, normalizer_decompose
+from titslift.tits import GroupElement, normalizer_decompose
+
+from conftest import (dense_word, flip_last_exponent, mutant_id,
+                      square_is_trivial)
 
 
 def run(capsys, argv):
@@ -124,26 +125,8 @@ def test_verify_writes_report_file(tmp_path, capsys):
     assert payload["all_pass"] is True
 
 
-def _square_is_trivial(inst):
-    # S_i^2 = 1 in place of S_i^4 = 1
-    if inst.tag != "2.11":
-        return inst
-    return RelationInstance(inst.tag, inst.i, inst.j,
-                            BraidWord.from_ints(inst.left.n, [inst.i] * 2),
-                            inst.right)
-
-
-def _flip_last_exponent(inst):
-    # 2.12 with the left word's final S_i^{-1} changed to S_i
-    if inst.tag != "2.12":
-        return inst
-    letters = inst.left.letters[:-1] + ((inst.i, 1),)
-    return RelationInstance(inst.tag, inst.i, inst.j,
-                            BraidWord(inst.left.n, letters), inst.right)
-
-
-@pytest.mark.parametrize("mutate", [None, _square_is_trivial,
-                                    _flip_last_exponent])
+@pytest.mark.parametrize("mutate", [None, square_is_trivial,
+                                    flip_last_exponent], ids=mutant_id)
 @pytest.mark.parametrize("level", ["adjoint", "group", "all"])
 def test_verify_report_text_is_the_indented_json(tmp_path, capsys,
                                                  monkeypatch, level, mutate):
@@ -153,8 +136,7 @@ def test_verify_report_text_is_the_indented_json(tmp_path, capsys,
     params = ["2/3", "-5", "7", "1/4"]
     for n in (1, 2, 3, 4):
         if mutate is not None:
-            rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters)
-                    for t in map(mutate, relation_instances(n))]
+            rows = list(map(mutate, relation_words(n)))
             monkeypatch.setattr(sweep, "relation_words", lambda k: rows)
         checks = []
         if level != "group":
@@ -382,18 +364,24 @@ def test_params_may_start_with_a_minus(capsys):
     assert json.loads(out)["scales"] == ["-3/2", "2/3"]
 
 
-def _eval_word_by_objects(n, text, params):
-    """eval-word's stdout, built from the braid word, its monomial value
-    and the dense matrix JSON."""
+def _eval_word_by_dense_product(n, text, params):
+    """eval-word's stdout, built from the dense product of the written-out
+    lifts: column j's one nonzero entry is scales[j-1], in row
+    permutation[j-1]."""
     s = TitsSection(n, tuple(parse_scalar(a) for a in params))
-    value = monomial_word(s, parse_word(n, text))
-    images = list(value.sigma.images)
+    m = dense_word(s, [(abs(k), 1 if k > 0 else -1)
+                       for k in map(int, text.split())])
+    images, scales = [], []
+    for col in range(n + 1):
+        (row, x), = [(r, entries[col]) for r, entries in
+                     enumerate(m.rows, start=1) if entries[col] != 0]
+        images.append(row)
+        scales.append(x)
     return json.dumps({
-        "n": n, "word": text.strip(),
-        "matrix": matrix_to_json(value.reconstruct().m),
+        "n": n, "word": text.strip(), "matrix": matrix_to_json(m),
         "permutation": images,
-        "scales": [scalar_to_str(x) for x in value.scales],
-        "projection": images, "pure": value.sigma.is_identity(),
+        "scales": [scalar_to_str(x) for x in scales],
+        "projection": images, "pure": images == list(range(1, n + 2)),
     }, indent=2) + "\n"
 
 
@@ -434,8 +422,7 @@ def _random_scalar(rng):
 
 
 def test_eval_word_prints_what_the_object_layer_computes(capsys):
-    # the plain path against the braid word, the monomial value and the
-    # dense matrix JSON it replaced
+    # the plain path against the dense product of the written-out lifts
     rng = random.Random(211)
     for _ in range(60):
         n = rng.randint(1, 5)
@@ -445,7 +432,7 @@ def test_eval_word_prints_what_the_object_layer_computes(capsys):
         argv = ["eval-word", "--n", str(n), "--word", f" {text} ",
                 "--params=" + ",".join(params)]
         assert run(capsys, argv) == (
-            0, _eval_word_by_objects(n, f" {text} ", params), "")
+            0, _eval_word_by_dense_product(n, f" {text} ", params), "")
 
 
 def test_normalizer_check_prints_what_the_object_layer_computes(tmp_path,
@@ -665,8 +652,9 @@ def test_closed_stdout_is_an_io_error_not_a_verdict(monkeypatch, capsys):
 def test_verify_under_python_optimize_flag():
     # library invariants must not rest on assert, which -O strips
     env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    tests = pathlib.Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "titslift.cli", "verify", "--n", "4",
          "--level", "all"],
@@ -677,13 +665,9 @@ def test_verify_under_python_optimize_flag():
     mutated = """
 import sys
 import titslift.sweep as sweep
-from titslift.braid import BraidWord, RelationInstance, relation_instances
 from titslift.cli import main
-table = [inst if inst.tag != "2.11" else RelationInstance(
-             inst.tag, inst.i, inst.j, BraidWord.from_ints(2, [inst.i] * 2),
-             inst.right)
-         for inst in relation_instances(2)]
-rows = [(t.tag, t.i, t.j, t.left.letters, t.right.letters) for t in table]
+from conftest import square_is_trivial
+rows = [square_is_trivial(row) for row in sweep.relation_words(2)]
 sweep.relation_words = lambda k: rows
 sys.exit(main(["verify", "--n", "2", "--level", "all"]))
 """

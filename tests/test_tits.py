@@ -24,7 +24,7 @@ from titslift.tits import (GroupElement, MonomialDecomposition,
                            normalizer_decompose, rational_nth_root,
                            sigma_generator, value_at)
 
-from conftest import block
+from conftest import block, dense_word
 
 
 def random_section(rng, n):
@@ -133,9 +133,9 @@ def test_evaluate_word_identities():
 
 
 def test_evaluate_word_matches_the_dense_product():
-    # the monomial fold against the dense product of the dense lifts; the
-    # second half draws letters from two indices, so every word repeats a
-    # letter and uses both exponents of it
+    # the monomial fold against the dense product of the written-out
+    # lifts; the second half draws letters from two indices, so every word
+    # repeats a letter and uses both exponents of it
     rng = random.Random(23)
     for trial in range(80):
         n = rng.randint(1, 4)
@@ -150,11 +150,7 @@ def test_evaluate_word_matches_the_dense_product():
                                 for _ in range(rng.randint(1, 12))]
             rng.shuffle(signed)
             w = BraidWord.from_ints(n, signed)
-        dense = Matrix.identity(n + 1)
-        for i, e in w.letters:
-            g = sigma_generator(s, i).m
-            dense = dense * (g if e == 1 else g.inv())
-        assert evaluate_word(s, w).m == dense
+        assert evaluate_word(s, w).m == dense_word(s, w.letters)
 
 
 def test_monomial_lift_times_its_inverse_is_the_identity():
@@ -204,18 +200,6 @@ def test_monomial_word_validates_once_per_word(monkeypatch):
         assert sorted(built) == ["MonomialDecomposition", "Permutation"]
 
 
-def _dense_product(s, w):
-    """The product of the written-out lifts and their dense inverses."""
-    lifts = {}
-    out = Matrix.identity(s.n + 1)
-    for i, e in w.letters:
-        if (i, e) not in lifts:
-            g = block(s, i)
-            lifts[i, e] = g if e == 1 else g.inv()
-        out = out * lifts[i, e]
-    return out
-
-
 def _random_word(rng, n, longest):
     return BraidWord(n, tuple((rng.randint(1, n), rng.choice((1, -1)))
                               for _ in range(rng.randint(0, longest))))
@@ -225,18 +209,18 @@ def test_generic_value_at_random_sections_is_the_dense_product():
     rng = random.Random(101)
     for _ in range(40):
         n = rng.randint(1, 6)
-        w = _random_word(rng, n, 40)
-        value = letters_fold(n)(w.letters)
+        letters = _random_word(rng, n, 40).letters
+        value = letters_fold(n)(letters)
         for _ in range(2):
             s = random_section(rng, n)
-            assert value_at(s, value).reconstruct().m == _dense_product(s, w)
+            assert value_at(s, value).reconstruct().m == dense_word(s, letters)
     # one long word, whose value at a = 1 has been negated thousands of
     # times on its way
     w = BraidWord(3, tuple((rng.randint(1, 3), rng.choice((1, -1)))
                            for _ in range(5000)))
     s = random_section(rng, 3)
     assert value_at(s, letters_fold(3)(w.letters)).reconstruct().m == \
-        _dense_product(s, w)
+        dense_word(s, w.letters)
 
 
 WORDS_AND_SECTIONS = st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -253,7 +237,7 @@ def test_eval_word_prints_the_dense_product_of_determinant_one(case):
     # the product of its scales equal to 1, as the dense product does,
     # and the matrix it prints is that dense product
     signed, s = case
-    dense = _dense_product(s, BraidWord.from_ints(s.n, signed))
+    dense = dense_word(s, BraidWord.from_ints(s.n, signed).letters)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["eval-word", "--n", str(s.n),
