@@ -19,8 +19,8 @@ class UsageError(ValueError):
 
 
 _SUBMODULES = frozenset({
-    "autos", "braid", "cli", "liealg", "linalg", "normalizer", "records",
-    "relations", "roots", "rows", "sweep", "tits"})
+    "autos", "braid", "cli", "liealg", "linalg", "records", "relations",
+    "roots", "rows", "sweep", "tits"})
 
 
 def __getattr__(name: str):

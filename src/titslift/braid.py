@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import check_rank
+from .records import check_rank
 from .relations import check_letter, parse_letters, signed_letters
-from .sweep import Letter, RelationRow, relation_words
+from .sweep import Letter, RelationRow, letters_fold, relation_words
 from .tits import Permutation
 
 
@@ -55,11 +55,10 @@ def natural_projection(w: BraidWord) -> Permutation:
 
     Each S_i, with either exponent, maps to the adjacent transposition
     (i, i+1); letters compose left to right, matching matrix products.
+    It is the row pattern of the word's value, sweep.letters_fold, with
+    the signs dropped.
     """
-    images = list(range(1, w.n + 2))
-    for i, _ in w.letters:
-        images[i - 1], images[i] = images[i], images[i - 1]
-    return Permutation(tuple(images))
+    return Permutation(tuple(map(abs, letters_fold(w.n)(w.letters))))
 
 
 def is_pure(w: BraidWord) -> bool:

@@ -9,7 +9,7 @@ Bad arguments or input raise UsageError, which ``main`` prints as one
 line; any other exception is a fault and keeps its traceback.
 
 Exit codes: 0 when everything passed, 1 when a relation failed or the
-matrix was not in the normalizer, 2 on usage or input errors.
+matrix was not in the normalizer, 2 on usage, input or output errors.
 """
 
 import sys
@@ -68,7 +68,7 @@ def cmd_verify(n: int, level: str, params: str | None,
     all_pass = all(r[3] for r in rows)
     text = (f'{{\n  "n": {n},\n  "relations": [\n{body}\n  ],\n'
             f'  "all_pass": {_BOOL[all_pass]}\n}}')
-    if report_path:
+    if report_path is not None:
         try:
             with open(report_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -87,7 +87,7 @@ def cmd_eval_word(n: int, word: str, params: str | None,
 
 
 def cmd_normalizer_check(matrix_path: str) -> int:
-    from .normalizer import normalizer_check
+    from .rows import normalizer_check
     return normalizer_check(matrix_path)
 
 
@@ -170,11 +170,10 @@ def main(argv: list[str] | None = None) -> int:
         # error, not a failed relation
         print("error: rank too large to allocate", file=sys.stderr)
         return USAGE_ERROR
-    except BrokenPipeError:
-        # the reader closed stdout early: report that, not a verdict, and
-        # send the unflushed rest to the null device so exit stays quiet
-        _discard_stdout()
-        print("error: standard output was closed", file=sys.stderr)
+    except OSError as exc:  # stdout closed early or full: not a verdict
+        _discard_stdout()  # drop the unflushed rest, so exit stays quiet
+        print("error: standard output", "was closed" if isinstance(
+            exc, BrokenPipeError) else f"failed: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return code
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Union
 
 from .linalg import Matrix
-from .records import Scalar, canonical
+from .records import Scalar, canonical, check_rank
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,6 @@ class Cartan:
 
 
 BasisIndex = Union[OffDiagonal, Cartan]
-
-
-def check_rank(n: int) -> None:
-    if type(n) is not int:  # a bool is not a rank
-        raise ValueError(f"rank must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError(f"rank must be at least 1, got {n}")
 
 
 def dimension(n: int) -> int:

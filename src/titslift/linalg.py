@@ -36,7 +36,7 @@ class Matrix:
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Iterable[Iterable[Scalar | str]]):
+    def __init__(self, rows: Iterable[Iterable[Scalar]]):
         rows = tuple(tuple(canonical(x) for x in row) for row in rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square and nonempty")

@@ -1,11 +1,12 @@
-"""The exact scalars, and ``TitsSection``, the one record a CLI call
-builds.
+"""The exact scalars, the rank rule and ``TitsSection``, the one record
+a CLI call builds.
 
 A scalar is an int or a ``fractions.Fraction`` in canonical form: a
 Fraction with denominator 1 collapses to an int, so equality is plain
-structural equality.  ``canonical`` and ``parse_scalar`` are the only ways
-in, ``scalar_to_str`` the way out.  ``INT_TEXT`` is the "p" of the
-scalar grammar, which ``relations.parse_letters`` also reads words with.
+structural equality.  ``parse_scalar`` alone reads scalar text,
+``canonical`` normalises computed scalars and ``scalar_to_str`` writes
+them.  ``INT_TEXT`` is the "p" of the scalar grammar, which
+``relations.parse_letters`` also reads words with.
 """
 
 import re
@@ -17,31 +18,19 @@ INT_TEXT = re.compile(r"-?[0-9]+")  # unlike int(): no "+1", "1_0" or "١"
 _SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def canonical(x: Scalar | str) -> Scalar:
+def canonical(x: Scalar) -> Scalar:
     """Return x as an int when integral, else as a reduced Fraction.
 
-    Accepts ints, Fractions and strings "p" or "p/q" like "-3/2"; floats,
-    bools, other strings ("1.5", "+3") and zero denominators ("1/0") are
-    rejected with ValueError.
+    Only ints and Fractions are taken; anything else, floats, bools and
+    text included, raises ValueError.
 
-    >>> from fractions import Fraction
     >>> canonical(Fraction(4, 2))
     2
-    >>> canonical("5/10")
-    Fraction(1, 2)
     """
     if type(x) is int:
         return x
-    if isinstance(x, (bool, float)):
-        raise ValueError(
-            f"scalar must be exact, not a float or bool, got {x!r}")
-    if isinstance(x, str) and not _SCALAR_TEXT.fullmatch(x):
-        raise ValueError(f'scalar string must be "p" or "p/q", got {x!r}')
     if not isinstance(x, Fraction):
-        try:
-            x = Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
+        raise ValueError(f"scalar must be an int or a Fraction, got {x!r}")
     return int(x) if x.denominator == 1 else x
 
 
@@ -63,12 +52,23 @@ def parse_scalar(x: object) -> Scalar:
     if not isinstance(x, str) or not _SCALAR_TEXT.fullmatch(x):
         raise ValueError(
             f'scalar must be an int or a string "p" or "p/q", got {x!r}')
-    return canonical(x)
+    try:
+        return canonical(Fraction(x))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def scalar_to_str(x: Scalar) -> str:
     """Canonical string form: "p" for integers, "p/q" otherwise."""
     return str(Fraction(x))
+
+
+def check_rank(n: int) -> None:
+    """Raise ValueError unless n is a rank: an int (not a bool), >= 1."""
+    if type(n) is not int:  # a bool is not a rank
+        raise ValueError(f"rank must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError(f"rank must be at least 1, got {n}")
 
 
 class TitsSection:
@@ -83,10 +83,7 @@ class TitsSection:
     __slots__ = ("n", "params")
 
     def __init__(self, n: int, params: tuple[Scalar, ...]):
-        if type(n) is not int:  # a bool is not a rank
-            raise ValueError(f"rank must be an int, got {n!r}")
-        if n < 1:
-            raise ValueError(f"rank must be at least 1, got {n}")
+        check_rank(n)
         if len(params) != n:
             raise ValueError(f"rank {n} needs {n} parameters")
         params = tuple(canonical(a) for a in params)
@@ -97,6 +94,7 @@ class TitsSection:
 
     @classmethod
     def ones(cls, n: int) -> "TitsSection":
+        check_rank(n)  # first: (1,) * n raises TypeError for a float n
         return cls(n, (1,) * n)
 
     def __eq__(self, other):

@@ -8,8 +8,7 @@ build their words and section values on the letters and scales here.
 from fractions import Fraction
 
 from . import UsageError
-from .records import (INT_TEXT, Scalar, TitsSection, canonical,
-                      parse_section, scalar_to_str)
+from .records import INT_TEXT, TitsSection, parse_section, scalar_to_str
 from .sweep import Letter, Letters, letters_fold
 
 
@@ -44,21 +43,22 @@ def signed_letters(n: int, signed: list[int] | tuple[int, ...]) -> Letters:
     return tuple(letters)
 
 
-def scales_at(s: TitsSection, value: tuple[int, ...]) -> list[Scalar]:
+def scales_at(s: TitsSection, value: tuple[int, ...]) -> list[Fraction]:
     """The column scales of a value at a = 1 moved to the section s.
 
     With t_k = a_k a_{k+1} ... a_n (t_{n+1} = 1), diag(t) S_i(1) diag(t)^-1
     is S_i(a), so every word has S_w(a) = diag(t) S_w(1) diag(t)^-1 (Tits):
     column j keeps its row sigma(j) and gets the scale
     eps_j t_{sigma(j)} / t_j.  Conjugation is a bijection, so two words
-    agree at a section exactly when they agree at a = 1.
+    agree at a section exactly when they agree at a = 1.  The scales are
+    Fractions, left for the caller to normalise.
     """
     if len(value) != s.n + 1:
         raise ValueError(f"rank mismatch: section {s.n} vs {len(value) - 1}")
     t = [Fraction(1)] * (s.n + 1)  # 0-based: t[k] = a_{k+1} ... a_n
     for k in reversed(range(s.n)):
         t[k] = s.params[k] * t[k + 1]
-    return [canonical((1 if x > 0 else -1) * t[abs(x) - 1] / t[j])
+    return [(1 if x > 0 else -1) * t[abs(x) - 1] / t[j]
             for j, x in enumerate(value)]
 
 

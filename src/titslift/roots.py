@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .liealg import check_rank
+from .records import check_rank
 from .tits import Permutation
 
 

@@ -1,16 +1,19 @@
-"""Square matrices as plain rows of exact scalars: reading them from JSON,
-the determinant, and the column scan that splits a monomial matrix.
+"""Square matrices as plain rows of exact scalars, and the whole check of
+a matrix file that ``normalizer-check`` runs: JSON shape, scalars,
+determinant, column scan and answer.
 
-``normalizer-check`` runs on these alone; ``linalg.Matrix`` and
-``tits.normalizer_decompose`` wrap them.  Only ``records`` is imported.
+``linalg.Matrix`` and ``tits.normalizer_decompose`` wrap the rows and
+the scan.  Besides ``UsageError``, only ``records`` is imported.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .records import Scalar, canonical, parse_scalar
+from . import UsageError
+from .records import Scalar, canonical, parse_scalar, scalar_to_str
 
 Rows = Sequence[Sequence[Scalar]]  # a Matrix's rows, or lists read from JSON
 
@@ -72,3 +75,29 @@ def monomial_columns(rows: Rows) -> tuple[list[int], list[Scalar]]:
         images.append(hits[0])
         scales.append(rows[hits[0] - 1][col])
     return images, scales
+
+
+def normalizer_check(path: str) -> int:
+    """Print the permutation and scales of the matrix at path and return
+    0, or print why it is not monomial and return 1.  An unreadable file
+    or a determinant other than 1 raises UsageError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = rows_from_json(json.load(fh))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read matrix: {exc}") from None
+    if determinant(rows) != 1:
+        raise UsageError("matrix does not have determinant 1")
+    try:
+        # one nonzero per column and determinant one: a permutation
+        images, scales = monomial_columns(rows)
+    except NotInNormalizer as exc:
+        print(json.dumps({"in_normalizer": False, "reason": str(exc)}))
+        return 1
+    print(json.dumps({
+        "in_normalizer": True,
+        "permutation": images,
+        "scales": [scalar_to_str(x) for x in scales],
+        "coset": images,
+    }, indent=2))
+    return 0

@@ -214,8 +214,6 @@ def coset_class(x: GroupElement) -> Permutation:
 
 def _int_nth_root(m: int, k: int) -> int:
     """Floor of the k-th root of a nonnegative integer, by Newton steps."""
-    if m < 0:
-        raise ValueError("negative radicand")
     if m in (0, 1) or k == 1:
         return m
     x = 1 << -(-m.bit_length() // k)  # power of two >= true root

@@ -225,7 +225,7 @@ def test_eval_word_reads_only_ascii_integer_tokens(capsys, argv):
     (["verify", "--n", "2"], "titslift.sweep", "verdict_rows"),
     (["eval-word", "--n", "2", "--word", "1 2"], "titslift.relations",
      "letters_fold"),
-    (["normalizer-check", "--matrix", "m.json"], "titslift.normalizer",
+    (["normalizer-check", "--matrix", "m.json"], "titslift.rows",
      "monomial_columns"),
 ], ids=["verify", "eval-word", "normalizer-check"])
 def test_a_fault_is_not_reported_as_an_input_error(tmp_path, monkeypatch,
@@ -257,16 +257,16 @@ def test_normalizer_check_accepts_monomial(tmp_path, capsys):
 
 
 def test_normalizer_check_decomposes_once(tmp_path, capsys, monkeypatch):
-    import titslift.normalizer
+    import titslift.rows
     calls = []
-    original = titslift.normalizer.monomial_columns
+    original = titslift.rows.monomial_columns
 
     def counted(rows):
         calls.append(rows)
         return original(rows)
 
     # the subcommand reads the column scan from its module at call time
-    monkeypatch.setattr(titslift.normalizer, "monomial_columns", counted)
+    monkeypatch.setattr(titslift.rows, "monomial_columns", counted)
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"dim": 3, "entries": [["0", "0", "1/2"],
                                                       ["-1", "0", "0"],
@@ -629,10 +629,12 @@ def test_fuzz_eval_word_exit_codes(capsys, text):
 
 
 def test_verify_unwritable_report_path(tmp_path, capsys):
-    path = tmp_path / "no-such-dir" / "r.json"
-    code, out, err = run(capsys, ["verify", "--n", "1", "--json", str(path)])
-    _assert_input_error(code, err)
-    assert out == ""
+    # an empty path names no file: it is not a request for stdout
+    for path in (str(tmp_path / "no-such-dir" / "r.json"), ""):
+        code, out, err = run(capsys, ["verify", "--n", "1", f"--json={path}"])
+        _assert_input_error(code, err)
+        assert err.startswith("error: cannot write report: ")
+        assert out == ""
 
 
 class ClosedStream(io.StringIO):
@@ -647,6 +649,49 @@ def test_closed_stdout_is_an_io_error_not_a_verdict(monkeypatch, capsys):
     code = main(["eval-word", "--n", "2", "--word", "1 2"])
     err = capsys.readouterr().err
     _assert_input_error(code, err)
+
+
+def _cli(argv, **kwargs):
+    """python -m titslift.cli argv in a child process, with this checkout's
+    package on its path."""
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    return subprocess.Popen([sys.executable, "-m", "titslift.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_stdout_closed_by_its_reader_is_an_io_error_not_a_verdict():
+    # the rank-32 report is far larger than a pipe buffer, so the child is
+    # still writing when the reader goes away; the exit must stay quiet,
+    # with no second error when the interpreter flushes stdout at exit
+    proc = _cli(["verify", "--n", "32"], stdout=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(16) == b'{\n  "n": 32,\n  "'
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert err == b"error: standard output was closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3"],
+    ["eval-word", "--n", "3", "--word", "1 2 -3"],
+    ["normalizer-check", "--matrix", "m.json"],
+], ids=["verify", "eval-word", "normalizer-check"])
+def test_a_full_stdout_is_an_io_error_not_a_verdict(tmp_path, argv):
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"dim": 2, "entries": [["0", "-1"], ["1", "0"]]}))
+    with open("/dev/full", "w") as full:
+        proc = _cli(argv, stdout=full, cwd=tmp_path)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith(b"error: standard output failed: ")
+    assert err.count(b"\n") == 1 and err.endswith(b"\n")
 
 
 def test_verify_under_python_optimize_flag():

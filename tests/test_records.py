@@ -1,4 +1,4 @@
-"""The package's record classes.
+"""The package's record classes, and the guards on library arguments.
 
 The toolkit's records are frozen dataclasses.  ``TitsSection``, the one
 record a CLI call builds, is written out by hand so that no call imports
@@ -11,9 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from titslift.liealg import Cartan, OffDiagonal
+from titslift import sweep
+from titslift.liealg import (Cartan, LieElement, OffDiagonal, bracket,
+                             decompose_by_cartan, generator)
+from titslift.linalg import Matrix
 from titslift.records import TitsSection, canonical
-from titslift.tits import Permutation, monomial_lift, sigma_generator
+from titslift.roots import (RootVector, pairing, reflect, simple_root,
+                            weyl_action)
+from titslift.tits import (Permutation, exp_construction, monomial_lift,
+                           sigma_generator)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,7 +43,8 @@ class Twin:
 
 
 @pytest.mark.parametrize("args,kwargs", [
-    ((1, ("2",)), {}), ((2, (Fraction(4, 2), "-1/3")), {}),
+    ((1, (Fraction(-6, 3),)), {}),
+    ((2, (Fraction(4, 2), Fraction(-1, 3))), {}),
     ((3, [1, 2, 3]), {}), ((), {"params": (1, 5), "n": 2}),
     ((2,), {"params": (Fraction(1, 3), 7)}),
 ])
@@ -125,3 +132,49 @@ def test_equal_sections_share_cache_entries():
     assert monomial_lift(a, 1, -1) == monomial_lift(b, 1, -1)
     assert sigma_generator(a, 2) is sigma_generator(b, 2)
     assert TitsSection(2, (2, 1)) != TitsSection(2, (1, 2))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: RootVector(2, (1, -1)), "rank 2 needs 3 coordinates"),
+    (lambda: RootVector(1, (Fraction(1, 2), Fraction(-1, 2))),
+     "must be integers"),
+    (lambda: simple_root(2, 3), "simple root index 3 out of range 1..2"),
+    (lambda: pairing(simple_root(2, 1), 3),
+     "coroot index 3 out of range 1..2"),
+    (lambda: reflect(RootVector(2, (2, -2, 0)), simple_root(2, 1)),
+     r"not a root: \(2, -2, 0\)"),
+    (lambda: reflect(simple_root(1, 1), simple_root(2, 1)),
+     "rank mismatch: 1 vs 2"),
+    (lambda: weyl_action(Permutation((2, 1)), simple_root(2, 1)),
+     "permutation of 2 points cannot act on rank 2 vectors"),
+    (lambda: Permutation.transposition(2, 1, 3),
+     r"transposition \(1 3\) out of range"),
+    (lambda: Permutation((2, 1)) * Permutation((1, 2, 3)),
+     "permutations of different sizes"),
+    (lambda: exp_construction(2, 3), "generator index 3 out of range 1..2"),
+    (lambda: Matrix.unit(2, 3, 1),
+     r"unit position \(3, 1\) out of range for dim 2"),
+    (lambda: Matrix.identity(2) * Matrix.identity(3),
+     "dimension mismatch: 2 vs 3"),
+    (lambda: LieElement(1, (1, 2)), "rank 1 needs 3 coordinates, got 2"),
+    (lambda: generator(1, "e", 1) + generator(2, "e", 1),
+     "rank mismatch: 1 vs 2"),
+    (lambda: bracket(generator(1, "e", 1), generator(2, "e", 1)),
+     "rank mismatch: 1 vs 2"),
+    (lambda: decompose_by_cartan(2, generator(1, "h", 1)),
+     "rank mismatch: 2 vs 1"),
+    (lambda: sweep.relation_words(0), "rank must be at least 1, got 0"),
+    (lambda: sweep.verdict_rows(2, "both"), "unknown level 'both'"),
+    (lambda: TitsSection.ones(2.0), "rank must be an int, got 2.0"),
+], ids=["root-length", "root-coordinate", "simple-root-index",
+        "pairing-index", "reflect-not-a-root", "reflect-rank",
+        "weyl-action-size", "transposition-index", "compose-sizes",
+        "exp-construction-index", "unit-position", "matrix-dims",
+        "lie-coordinates", "lie-add-rank", "bracket-rank",
+        "cartan-rank", "relation-words-rank", "verdict-level",
+        "section-ones-rank"])
+def test_library_guards_raise_value_error(call, match):
+    # every guard on a library argument raises ValueError, so it holds
+    # under python -O and reads as an input error, never a TypeError
+    with pytest.raises(ValueError, match=match):
+        call()

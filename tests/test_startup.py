@@ -73,8 +73,7 @@ ARGPARSE = {"argparse", "gettext", "locale"}
      {"titslift", "titslift.cli", "titslift.records", "titslift.relations",
       "titslift.sweep"}),
     (["normalizer-check", "--matrix", "m.json"],
-     {"titslift", "titslift.cli", "titslift.normalizer", "titslift.records",
-      "titslift.rows"}),
+     {"titslift", "titslift.cli", "titslift.records", "titslift.rows"}),
 ], ids=["eval-word", "normalizer-check"])
 def test_light_subcommands_skip_the_algebra_layer(tmp_path, argv, package):
     # both run on plain data: eval-word folds letters into ints as verify
@@ -122,10 +121,10 @@ def _lines(modules):
 
 
 @pytest.mark.parametrize("argv,budget", [
-    (["verify", "--n", "3", "--level", "all"], 327),
+    (["verify", "--n", "3", "--level", "all"], 326),
     (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
-     550),
-    (["normalizer-check", "--matrix", "m.json"], 463),
+     547),
+    (["normalizer-check", "--matrix", "m.json"], 453),
 ], ids=["verify", "eval-word", "normalizer-check"])
 def test_subcommands_compile_at_most_their_line_budget(tmp_path, argv,
                                                        budget):
@@ -196,11 +195,14 @@ def test_library_code_has_no_assert():
 
 
 def test_rows_imports_only_records_at_module_level():
-    # normalizer-check's plain rows stay a small leaf of their own, out of
-    # verify's and eval-word's module sets
-    assert _top_level_imports("rows") == ([(1, "records")], [])
+    # the whole check of a matrix file stays a small leaf of its own, out
+    # of verify's and eval-word's module sets: of the package it imports
+    # records and UsageError, which every call has loaded, and else json
+    package, plain = _top_level_imports("rows")
+    assert package == [(1, None), (1, "records")]
+    assert [[a.name for a in node.names] for node in plain] == [["json"]]
     assert len((ROOT / "src" / "titslift" / "rows.py").read_text()
-               .splitlines()) <= 80
+               .splitlines()) <= 105
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,8 +243,8 @@ def test_package_imports_sit_at_module_level():
 
 
 def test_submodules_resolve_as_attributes():
-    for name in ("autos", "braid", "cli", "liealg", "linalg", "normalizer",
-                 "records", "relations", "roots", "rows", "sweep", "tits"):
+    for name in ("autos", "braid", "cli", "liealg", "linalg", "records",
+                 "relations", "roots", "rows", "sweep", "tits"):
         assert getattr(titslift, name) is importlib.import_module(
             f"titslift.{name}")
 
