@@ -19,7 +19,7 @@ from .liealg import LieElement, basis_indices, basis_matrix, dimension
 from .linalg import Matrix
 from .records import TitsSection
 from .sweep import verdict_rows
-from .tits import GroupElement, monomial_lift
+from .tits import GroupElement, sigma_generator
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class AlgebraAutomorphism:
 def _tau_power(n: int, i: int, e: int) -> AlgebraAutomorphism:
     """tau_i^e for a letter's exponent e, which is +1 or -1: conjugation
     by S_i^e, the e-th power of the parameter-1 lift."""
-    lift = monomial_lift(TitsSection.ones(n), i, e).reconstruct()
-    return conjugation_automorphism(lift, n)
+    lift = sigma_generator(TitsSection.ones(n), i)
+    return conjugation_automorphism(lift if e == 1 else lift.inv(), n)
 
 
 def tau_generator(n: int, i: int) -> AlgebraAutomorphism:

@@ -96,6 +96,13 @@ def _help() -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    """-?[0-9]+ in ASCII, as records.INT_TEXT: no "+2", "1_0" or " 2"."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _level(text: str) -> str:
     if text not in ("group", "adjoint", "all"):
         raise ValueError(text)
@@ -103,9 +110,9 @@ def _level(text: str) -> str:
 
 
 REQUIRED = object()  # the default of an option that must be given
-_N = ("n", int, REQUIRED)
+_N = ("n", _int, REQUIRED)
 _PARAMS = ("params", str, None)
-_MAX_RANK = ("max_rank", int, MAX_RANK)
+_MAX_RANK = ("max_rank", _int, MAX_RANK)
 # subcommand -> (function, option -> (keyword, converter, default))
 COMMANDS = {
     "verify": (cmd_verify, {

@@ -99,8 +99,8 @@ class Matrix:
     def __mul__(self, other: Matrix) -> Matrix:
         self._check_dim(other)
         cols = tuple(zip(*other.rows))
-        return Matrix(tuple(tuple(sum(a * b for a, b in zip(row, col))
-                                  for col in cols)
+        return Matrix(tuple(tuple(sum(a * b for a, b in zip(row, col)
+                                      if a and b) for col in cols)
                             for row in self.rows))
 
     def scale(self, c: Scalar) -> Matrix:
@@ -143,8 +143,8 @@ class Matrix:
                 a[c], a[pivot_row] = a[pivot_row], a[c]
                 b[c], b[pivot_row] = b[pivot_row], b[c]
             inv_pivot = Fraction(1) / a[c][c]
-            a[c] = [x * inv_pivot for x in a[c]]
-            b[c] = [x * inv_pivot for x in b[c]]
+            a[c] = [x * inv_pivot if x else 0 for x in a[c]]
+            b[c] = [x * inv_pivot if x else 0 for x in b[c]]
             for r in range(n):
                 if r != c and a[r][c] != 0:
                     m = a[r][c]

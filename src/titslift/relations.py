@@ -1,8 +1,7 @@
 """The plain word arithmetic ``eval-word`` runs: letters read and
 checked, folded at a = 1 and moved to a section.
 
-The relation verdicts are ``sweep.verdict_rows``; ``braid`` and ``tits``
-build their words and section values on the letters and scales here.
+The verdicts are ``sweep.verdict_rows``; ``braid`` checks its letters here.
 """
 
 from fractions import Fraction

@@ -1,17 +1,19 @@
 """The diagonal torus of the determinant-one group, its normalizer and
-their quotient (``Permutation``), and the monomial lifts of braid words.
+their quotient (``Permutation``), and the lifts of braid words written
+out as dense matrices.
 
-A section is a choice of nonzero parameters a_1..a_n; the i-th lift is the
-identity outside rows and columns {i, i+1} with the block
+A section is nonzero parameters a_1..a_n; the i-th lift is the identity
+outside rows and columns {i, i+1}, where it is the block
 
     (   0      a_i )
     ( -1/a_i    0  )
 
 which has determinant one and squares to the diagonal matrix with -1 at
-slots i and i+1.  A word is folded once, at a = 1, into a signed
-permutation (``sweep.letters_fold``); every section's value is a torus
-conjugate of it.  All is exact over the rationals; a root the rationals
-lack is reported, not approximated.
+slots i and i+1.  A word's value is the dense product of its letters'
+lifts and their inverses: the definition, which the tests compare with
+the fast path that ``verify`` and ``eval-word`` run (``sweep.letters_fold``
+and ``relations.scales_at``).  All is exact over the rationals; a root
+the rationals lack is reported, not approximated.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from typing import TYPE_CHECKING
 
 from .linalg import Matrix, exp_nilpotent
 from .records import Scalar, TitsSection, canonical
-from .relations import check_letter, scales_at
 from .rows import NotInNormalizer, monomial_columns
-from .sweep import letters_fold
 
 if TYPE_CHECKING:  # braid imports Permutation from this module
     from .braid import BraidWord
@@ -119,10 +119,20 @@ class GroupElement:
         return GroupElement(self.m * other.m * self.m.inv())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so True is not a cached 1
 def sigma_generator(s: TitsSection, i: int) -> GroupElement:
-    """The i-th monomial lift of the section s, as a dense matrix."""
-    return monomial_lift(s, i, 1).reconstruct()
+    """The i-th lift of s written out: (0, a_i; -1/a_i, 0) at i, i+1.
+
+    >>> sigma_generator(TitsSection(2, (Fraction(2, 3), 5)), 1).m.rows
+    ((0, Fraction(2, 3), 0), (Fraction(-3, 2), 0, 0), (0, 0, 1))
+    """
+    if type(i) is not int or not 1 <= i <= s.n:
+        raise ValueError(f"generator index {i!r} out of range 1..{s.n}")
+    a = Fraction(s.params[i - 1])
+    rows = [[int(r == c) for c in range(s.n + 1)] for r in range(s.n + 1)]
+    rows[i - 1][i - 1:i + 1] = 0, a
+    rows[i][i - 1:i + 1] = -1 / a, 0
+    return GroupElement(Matrix(rows))
 
 
 def exp_construction(n: int, i: int) -> GroupElement:
@@ -135,24 +145,16 @@ def exp_construction(n: int, i: int) -> GroupElement:
     return GroupElement(exp_nilpotent(e) * exp_nilpotent(-f) * exp_nilpotent(e))
 
 
-def value_at(s: TitsSection, value: tuple[int, ...]) -> MonomialDecomposition:
-    """A value at a = 1 moved to the section s (relations.scales_at, which
-    states the torus conjugation), validated once."""
-    return MonomialDecomposition(Permutation(tuple(map(abs, value))),
-                                 tuple(scales_at(s, value)))
-
-
-def monomial_word(s: TitsSection, w: BraidWord) -> MonomialDecomposition:
-    """Evaluate a braid word as a product of section lifts: its value at
-    a = 1, moved to s.  To value many words, build letters_fold(n) once."""
+def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
+    """The value of a braid word at the section s: the dense product of
+    the lifts and their inverses, one factor per letter."""
     if w.n != s.n:
         raise ValueError(f"need a rank-{s.n} word, got rank {w.n}")
-    return value_at(s, letters_fold(s.n)(w.letters))
-
-
-def evaluate_word(s: TitsSection, w: BraidWord) -> GroupElement:
-    """monomial_word as a dense matrix, with its one determinant check."""
-    return monomial_word(s, w).reconstruct()
+    out = Matrix.identity(s.n + 1)
+    for i, e in w.letters:
+        lift = sigma_generator(s, i).m
+        out = out * (lift if e == 1 else lift.inv())
+    return GroupElement(out)
 
 
 @dataclass(frozen=True)
@@ -182,16 +184,6 @@ class MonomialDecomposition:
         for col in range(1, dim + 1):
             rows[self.sigma(col) - 1][col - 1] = self.scales[col - 1]
         return GroupElement(Matrix(rows))
-
-
-def monomial_lift(s: TitsSection, i: int, e: int) -> MonomialDecomposition:
-    """S_i^e at the section s, for e = +1 or -1: the one-letter word's
-    value, so the shape is written once, in letters_fold's letter step.
-
-    >>> monomial_lift(TitsSection(2, (Fraction(2, 3), 5)), 1, 1).scales
-    (Fraction(-3, 2), Fraction(2, 3), 1)
-    """
-    return value_at(s, letters_fold(s.n)((check_letter(s.n, i, e),)))
 
 
 def normalizer_decompose(x: GroupElement) -> MonomialDecomposition:

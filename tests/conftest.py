@@ -1,34 +1,6 @@
 """Helpers shared by the test modules."""
 
-from fractions import Fraction
-
 import pytest
-
-from titslift.linalg import Matrix
-
-
-def block(s, i):
-    """The i-th lift of the section s written out, independently of the
-    fold: the identity outside slots i, i+1, where it is the block
-    (0, a_i; -1/a_i, 0)."""
-    a = Fraction(s.params[i - 1])
-    rows = [[int(r == c) for c in range(s.n + 1)] for r in range(s.n + 1)]
-    rows[i - 1][i - 1:i + 1] = 0, a
-    rows[i][i - 1:i + 1] = -1 / a, 0
-    return Matrix(rows)
-
-
-def dense_word(s, letters):
-    """The dense product of the written-out lifts of the section s and
-    their inverses, one factor per letter (i, e) of a word."""
-    lifts = {}
-    out = Matrix.identity(s.n + 1)
-    for i, e in letters:
-        if (i, e) not in lifts:
-            g = block(s, i)
-            lifts[i, e] = g if e == 1 else g.inv()
-        out = out * lifts[i, e]
-    return out
 
 
 def square_is_trivial(row):

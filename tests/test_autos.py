@@ -17,14 +17,19 @@ from titslift.liealg import (LieElement, OffDiagonal, ad_matrix,
 from titslift.linalg import Matrix, exp_nilpotent
 from titslift.records import TitsSection
 from titslift.sweep import letters_fold, relation_words
-from titslift.tits import (GroupElement, Permutation, monomial_word,
-                           sigma_generator, value_at)
+from titslift.tits import (GroupElement, Permutation, evaluate_word,
+                           exp_construction, sigma_generator)
 
-from conftest import (block, dense_word, flip_last_exponent, mutant_id,
-                      square_is_trivial)
+from conftest import flip_last_exponent, mutant_id, square_is_trivial
 
 # algebra-level tag -> group-level tag of the same relation family
 PAIR_TAGS = {"0.2": "2.9", "0.4": "2.10", "0.5": "2.11", "0.6": "2.12"}
+
+
+def _dense(s, letters):
+    """A word's value at the section s by the definition: the dense
+    product of the written-out lifts, tits.evaluate_word."""
+    return evaluate_word(s, BraidWord(s.n, letters)).m
 
 
 def _column(op, k):
@@ -142,11 +147,12 @@ def test_operator_size_validation():
 
 
 def test_matches_conjugation_by_the_lift():
+    # tau_i is built on the written-out lift; conjugation by
+    # exp(e_i) exp(-f_i) exp(e_i) is the same operator
     for n in (1, 2, 3):
-        s = TitsSection.ones(n)
         for i in range(1, n + 1):
             lhs = tau_generator(n, i)
-            rhs = conjugation_automorphism(GroupElement(block(s, i)), n)
+            rhs = conjugation_automorphism(exp_construction(n, i), n)
             assert lhs.op == rhs.op
 
 
@@ -198,7 +204,7 @@ def test_group_and_algebra_reports_agree_instance_by_instance(
                   for _ in range(10)]
         fold, basis = letters_fold(n), basis_indices(n)
         for w in words:
-            conj = conjugation_automorphism(GroupElement(dense_word(s, w)), n)
+            conj = conjugation_automorphism(GroupElement(_dense(s, w)), n)
             columns = _generator_columns(conj)
             assert all(len(col) == 1 for col in columns)
             assert adjoint_images(fold(w)) == tuple(
@@ -255,7 +261,8 @@ def _use_table(monkeypatch, rows):
 def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
                                                      tag, adjoint_images):
     for n in (2, 3):
-        _use_table(monkeypatch, [mutate(row) for row in relation_words(n)])
+        table = [mutate(row) for row in relation_words(n)]
+        _use_table(monkeypatch, table)
         s = TitsSection(n, (2,) * n)
         adjoint = [r for r in verify_theorem1(n) if not r[3]]
         group = [r for r in verify_group_relations(s) if not r[3]]
@@ -263,11 +270,13 @@ def test_mutated_relation_tables_fail_at_both_levels(monkeypatch, mutate,
         assert failed == set(_verdicts(group))
         assert failed and {t for t, _, _ in failed} == {tag}
         # a failing row keeps the two sides' values at a = 1: a group
-        # failure's differ at the section, an algebra failure's in their
-        # generator images
-        for _, _, _, _, left, right in group:
-            assert value_at(s, left).reconstruct().m != \
-                value_at(s, right).reconstruct().m
+        # failure's words have different dense products at the section,
+        # an algebra failure's values differ in their generator images
+        words, fold = {row[:3]: row[3:] for row in table}, letters_fold(n)
+        for row in group:
+            left_word, right_word = words[row[:3]]
+            assert row[4:] == (fold(left_word), fold(right_word))
+            assert _dense(s, left_word) != _dense(s, right_word)
         for _, _, _, _, left, right in adjoint:
             assert len(left) == len(right) == n + 1
             assert adjoint_images(left) != adjoint_images(right)
@@ -287,7 +296,7 @@ def test_group_verdicts_match_the_dense_word_values(monkeypatch, mutate):
                          rng.randint(1, 5)) for _ in range(n)))
             verdicts = _verdicts(verify_group_relations(s))
             assert verdicts == {
-                (tag, i, j): dense_word(s, left) == dense_word(s, right)
+                (tag, i, j): _dense(s, left) == _dense(s, right)
                 for tag, i, j, left, right in table}
 
 
@@ -324,21 +333,21 @@ def test_algebra_level_cannot_see_the_centre_at_rank_one(monkeypatch):
 
 def test_algebra_passes_exactly_when_the_group_quotient_is_central():
     # conjugation by g is the identity operator exactly when g is central,
-    # and a central monomial matrix is a scalar one: identity permutation,
-    # all scales equal
+    # and a central signed permutation matrix is +-I: the operator walk
+    # against the fold of the quotient
     only_algebra = set()
     for mutate in (lambda row: row, square_is_trivial, flip_last_exponent):
         for n in range(1, 7):
-            s = TitsSection.ones(n)
+            fold, identity = letters_fold(n), tuple(range(1, n + 2))
             for row in map(mutate, relation_words(n)):
                 tag, i, _, left, right = row
                 algebra = _walked_images(n, left) == _walked_images(n, right)
                 # the quotient L R^{-1} is the value of the word L R^{-1}
                 right_inverse = tuple((k, -e) for k, e in reversed(right))
-                q = monomial_word(s, BraidWord(n, left + right_inverse))
-                central = q.sigma.is_identity() and len(set(q.scales)) == 1
+                q = fold(left + right_inverse)
+                central = q in (identity, tuple(-k for k in identity))
                 assert algebra == central, (n, row)
-                if algebra and set(q.scales) != {1}:  # a scalar q != 1: L != R
+                if algebra and q != identity:  # q = -I: L != R
                     only_algebra.add((mutate, n, tag, i))
     assert only_algebra == {(square_is_trivial, 1, "2.11", 1)}
 
@@ -374,7 +383,7 @@ def test_algebra_verdict_is_l_equals_plus_or_minus_r(monkeypatch):
             _, k, _, left, right = row
             walked = _walked_images(n, left) == _walked_images(n, right)
             assert adjoint[k] == walked, (n, row)
-            assert group[k] == (dense_word(s, left) == dense_word(s, right))
+            assert group[k] == (_dense(s, left) == _dense(s, right))
             seen.add((n % 2, walked, group[k]))
     assert seen == {(p, a, g) for p in (0, 1) for a, g in
                     ((True, True), (False, False))} | {(1, True, False)}
@@ -421,21 +430,6 @@ def test_generator_slots_are_built_once_per_rank():
     _tau_power.cache_clear()
     assert all(r[3] for r in verify_theorem1(4))
     assert _tau_power.cache_info().currsize == 0
-
-
-def test_group_sweep_looks_each_lift_up_once(monkeypatch):
-    # one table of lifts per rank, whatever the number of words, written
-    # in the fold itself: the sweep never asks monomial_lift
-    import titslift.tits as tits
-    rng = random.Random(61)
-    n = 6
-    s = TitsSection(n, tuple(Fraction(rng.choice((-1, 1)) * rng.randint(2, 9),
-                                      rng.randint(2, 9)) for _ in range(n)))
-    calls = []
-    monkeypatch.setattr(tits, "monomial_lift",
-                        lambda *args: calls.append(args))
-    assert all(r[3] for r in verify_group_relations(s))
-    assert calls == []
 
 
 def test_verify_group_relations():

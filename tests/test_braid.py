@@ -1,5 +1,6 @@
-"""Braid words: parsing, the projection to the symmetric group, and the
-generated table of relation instances, sweep.relation_words."""
+"""Braid words: parsing, the projection to the symmetric group, the
+generated table of relation instances, sweep.relation_words, and the
+groups that table presents, counted by coset enumeration."""
 
 from math import factorial
 
@@ -11,6 +12,8 @@ from titslift.liealg import dimension, generator
 from titslift.roots import RootVector, all_roots, pairing, root, simple_root
 from titslift.sweep import coxeter_entry, letters_fold, relation_words
 from titslift.tits import Permutation
+
+from conftest import flip_last_exponent, mutant_id, square_is_trivial
 
 
 def letters(n, max_len=10):
@@ -251,14 +254,70 @@ def _coset_count(n, relators):
     return sum(find(c) == c for c in range(len(table)))
 
 
+def _relators(rows):
+    """The relators L R^-1 of relation rows, each once, in a fixed
+    order."""
+    return sorted({left + tuple((i, -e) for i, e in reversed(right))
+                   for _, _, _, left, right in rows})
+
+
+@pytest.mark.parametrize("relators,order", [
+    # S_3 = <a, b | a^2, b^2, (ab)^3>
+    ([((1, 1),) * 2, ((2, 1),) * 2, ((1, 1), (2, 1)) * 3], 6),
+    # D_5 = <r, s | r^5, s^2, (sr)^2>
+    ([((1, 1),) * 5, ((2, 1),) * 2, ((2, 1), (1, 1)) * 2], 10),
+    # Q_8 = <a, b | a^4, a^2 b^-2, a^-1 b a b>
+    ([((1, 1),) * 4, ((1, 1), (1, 1), (2, -1), (2, -1)),
+      ((1, -1), (2, 1), (1, 1), (2, 1))], 8),
+    # S_4 = <a, b, c | a^2, b^2, c^2, (ab)^3, (bc)^3, (ac)^2>
+    ([((1, 1),) * 2, ((2, 1),) * 2, ((3, 1),) * 2, ((1, 1), (2, 1)) * 3,
+      ((2, 1), (3, 1)) * 3, ((1, 1), (3, 1)) * 2], 24),
+], ids=["S3", "D5", "Q8", "S4"])
+def test_coset_count_gives_textbook_orders(relators, order):
+    n = max(i for r in relators for i, _ in r)
+    assert _coset_count(n, relators) == order
+
+
 def test_relation_table_presents_the_extended_weyl_group():
     # the relators L R^-1 of families 2.9-2.12 present a group of order
     # 2^n (n+1)!, the signed permutations of determinant one that the
     # lifts at a = 1 generate (Tits): no group relation is missing
     for n in range(1, 5):
-        relators = {left + tuple((i, -e) for i, e in reversed(right))
-                    for _, _, _, left, right in relation_words(n)}
-        assert _coset_count(n, sorted(relators)) == 2 ** n * factorial(n + 1)
+        relators = _relators(relation_words(n))
+        assert _coset_count(n, relators) == 2 ** n * factorial(n + 1)
+
+
+# the orders at n = 2, 3, 4 of the groups each mutant table presents
+MUTANT_ORDERS = {square_is_trivial: (6, 24, 120),
+                 flip_last_exponent: (12, 24, 120)}
+
+
+@pytest.mark.parametrize("mutate", MUTANT_ORDERS, ids=mutant_id)
+def test_mutated_tables_present_other_groups(mutate):
+    # each differs from 2^n (n+1)! = 24, 192, 1920: the enumeration tells
+    # a wrong table from the true one
+    for n, order in zip((2, 3, 4), MUTANT_ORDERS[mutate]):
+        relators = _relators(map(mutate, relation_words(n)))
+        assert _coset_count(n, relators) == order
+
+
+def test_coxeter_element_power_folds_to_a_sign():
+    # c = S_1 ... S_n projects to an (n+1)-cycle, and c^(n+1) is the
+    # scalar (-1)^n I: central, so invisible to the algebra level
+    for n in range(1, 33):
+        c = tuple((k, 1) for k in range(1, n + 1))
+        value = letters_fold(n)(c * (n + 1))
+        assert value == tuple((-1) ** n * k for k in range(1, n + 2))
+
+
+def test_table_and_coxeter_power_present_the_algebra_group():
+    # the table plus the relator c^(n+1) presents <tau_i>, of order
+    # 2^n (n+1)! / 2 at odd n, where -I = c^(n+1) is a fold value, and
+    # 2^n (n+1)! at even n
+    for n, order in zip(range(1, 5), (2, 24, 96, 1920)):
+        c = tuple((k, 1) for k in range(1, n + 1))
+        relators = _relators(relation_words(n)) + [c * (n + 1)]
+        assert _coset_count(n, relators) == order
 
 
 def test_every_rank_reduces_to_the_rank_three_table():

@@ -17,15 +17,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import titslift.autos as autos
 import titslift.sweep as sweep
+from titslift.braid import BraidWord
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_from_json, matrix_to_json
 from titslift.records import TitsSection, parse_scalar, scalar_to_str
 from titslift.rows import NotInNormalizer
 from titslift.sweep import relation_words
-from titslift.tits import GroupElement, normalizer_decompose
+from titslift.tits import GroupElement, evaluate_word, normalizer_decompose
 
-from conftest import (dense_word, flip_last_exponent, mutant_id,
-                      square_is_trivial)
+from conftest import flip_last_exponent, mutant_id, square_is_trivial
 
 
 def run(capsys, argv):
@@ -221,6 +221,22 @@ def test_eval_word_reads_only_ascii_integer_tokens(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--n", "\u0663"), ("--n", "1_0"), ("--n", "+2"), ("--n", " 2 "),
+    ("--max-rank", "\u0661\u0662"), ("--max-rank", "+12"),
+], ids=["arabic-indic-digit", "underscore", "plus-sign", "spaces",
+        "max-rank-arabic-indic", "max-rank-plus-sign"])
+def test_integer_options_read_only_ascii_integers(capsys, option, value):
+    # int() reads all of these; --n and --max-rank take -?[0-9]+ in
+    # ASCII, as word tokens do
+    argv = ["verify", "--n", "3", "--level", "group", "--max-rank", "12"]
+    argv[argv.index(option) + 1] = value
+    code, out, err = run(capsys, argv)
+    _assert_input_error(code, err)
+    assert err == f"error: invalid {option} value {value!r}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv,module,name", [
     (["verify", "--n", "2"], "titslift.sweep", "verdict_rows"),
     (["eval-word", "--n", "2", "--word", "1 2"], "titslift.relations",
@@ -369,8 +385,8 @@ def _eval_word_by_dense_product(n, text, params):
     lifts: column j's one nonzero entry is scales[j-1], in row
     permutation[j-1]."""
     s = TitsSection(n, tuple(parse_scalar(a) for a in params))
-    m = dense_word(s, [(abs(k), 1 if k > 0 else -1)
-                       for k in map(int, text.split())])
+    m = evaluate_word(s, BraidWord.from_ints(
+        n, [int(k) for k in text.split()])).m
     images, scales = [], []
     for col in range(n + 1):
         (row, x), = [(r, entries[col]) for r, entries in

@@ -2,7 +2,9 @@
 
 bench/oracle.py evaluates words in the lifts without importing titslift,
 so a wrong lift fails here before a benchmark run reports it as a wrong
-answer.
+answer: the fast path that eval-word runs (the fold at a = 1 moved by
+relations.scales_at) on every word, and the written-out definition
+(tits.evaluate_word) on the first letters of each.
 """
 
 import importlib.util
@@ -12,7 +14,9 @@ from fractions import Fraction
 
 from titslift.braid import BraidWord
 from titslift.records import TitsSection
-from titslift.tits import monomial_word
+from titslift.relations import scales_at
+from titslift.sweep import letters_fold
+from titslift.tits import evaluate_word, normalizer_decompose
 
 ORACLE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 
@@ -36,6 +40,12 @@ def test_word_values_match_the_benchmark_oracle():
                   for _ in range(rng.randint(0, 1200))]
         w = BraidWord.from_ints(n, signed)
         perm, scales = oracle.lift_word(params, signed)
-        value = monomial_word(s, w)
-        assert value.sigma.images == tuple(perm)
-        assert value.scales == tuple(scales)
+        value = letters_fold(n)(w.letters)
+        assert list(map(abs, value)) == perm
+        assert scales_at(s, value) == scales
+        short = signed[:30]
+        perm, scales = oracle.lift_word(params, short)
+        dense = normalizer_decompose(
+            evaluate_word(s, BraidWord.from_ints(n, short)))
+        assert dense.sigma.images == tuple(perm)
+        assert dense.scales == tuple(scales)

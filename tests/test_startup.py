@@ -121,10 +121,10 @@ def _lines(modules):
 
 
 @pytest.mark.parametrize("argv,budget", [
-    (["verify", "--n", "3", "--level", "all"], 326),
+    (["verify", "--n", "3", "--level", "all"], 333),
     (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
-     547),
-    (["normalizer-check", "--matrix", "m.json"], 453),
+     553),
+    (["normalizer-check", "--matrix", "m.json"], 460),
 ], ids=["verify", "eval-word", "normalizer-check"])
 def test_subcommands_compile_at_most_their_line_budget(tmp_path, argv,
                                                        budget):
@@ -152,6 +152,20 @@ def test_relations_imports_only_records_and_sweep_at_module_level():
     # top of relations would be compiled by every eval-word call
     assert _top_level_imports("relations") == (
         [(1, None), (1, "records"), (1, "sweep")], [])
+
+
+def test_tits_imports_neither_sweep_nor_relations():
+    # tits is the slow path the tests hold the fast one against: word
+    # values as dense products of the written-out lifts, built on neither
+    # the fold nor scales_at, at module level or anywhere else
+    tree = ast.parse((ROOT / "src" / "titslift" / "tits.py").read_text())
+    names = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)}
+    names |= {a.name.removeprefix("titslift.") for node in ast.walk(tree)
+              if isinstance(node, ast.Import) for a in node.names}
+    assert {"linalg", "records", "rows"} <= names
+    assert not names & {"sweep", "relations", "titslift.sweep",
+                        "titslift.relations"}
 
 
 def test_sweep_imports_nothing():

@@ -1,5 +1,10 @@
 """Lifts, the torus, and the normalizer: block shapes, monomial
-decomposition, coset bookkeeping, and the two witness constructions."""
+decomposition, coset bookkeeping, and the two witness constructions.
+
+Word values come two ways: the fast path that verify and eval-word run,
+sweep.letters_fold at a = 1 moved to a section by relations.scales_at,
+and the definition, tits.evaluate_word, the dense product of the
+written-out lifts.  The tests here compare the two."""
 
 import contextlib
 import io
@@ -16,21 +21,33 @@ from titslift.braid import BraidWord, natural_projection, parse_word
 from titslift.cli import main
 from titslift.linalg import Matrix, matrix_to_json
 from titslift.records import TitsSection, scalar_to_str
+from titslift.relations import scales_at
 from titslift.sweep import letters_fold
 from titslift.tits import (GroupElement, MonomialDecomposition,
                            NoExactWitness, NotInNormalizer, Permutation,
                            conjugation_witness, coset_class, evaluate_word,
-                           exp_construction, monomial_lift, monomial_word,
-                           normalizer_decompose, rational_nth_root,
-                           sigma_generator, value_at)
-
-from conftest import block, dense_word
+                           exp_construction, normalizer_decompose,
+                           rational_nth_root, sigma_generator)
 
 
 def random_section(rng, n):
     return TitsSection(n, tuple(
         Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]),
                  rng.choice([1, 2, 3])) for _ in range(n)))
+
+
+def fast(s, letters):
+    """A word's value at the section s by the fast path, as (images,
+    scales): the fold at a = 1, moved by scales_at."""
+    value = letters_fold(s.n)(letters)
+    return tuple(map(abs, value)), tuple(scales_at(s, value))
+
+
+def dense(s, letters):
+    """The same value by the definition: evaluate_word, split into
+    (images, scales) by the normalizer's column scan."""
+    dec = normalizer_decompose(evaluate_word(s, BraidWord(s.n, letters)))
+    return dec.sigma.images, dec.scales
 
 
 def random_torus(rng, dim):
@@ -79,19 +96,18 @@ def test_sigma_block_shape():
         [1, 0, 0],
         [0, 0, 5],
         [0, Fraction(-1, 5), 0]])
-    with pytest.raises(ValueError):
-        sigma_generator(s, 3)
-    # both exponents at random sections, against the block and its
-    # dense inverse; the fold and sigma_generator read one table
+    for i in (0, 3, True, 1.0):
+        with pytest.raises(ValueError, match="out of range"):
+            sigma_generator(s, i)
+    # both exponents at random sections: the fold's letter step and
+    # scales_at against the written-out block and its dense inverse
     rng = random.Random(7)
     for n in range(1, 7):
         for _ in range(3):
             s = random_section(rng, n)
             for i in range(1, n + 1):
-                lift = block(s, i)
-                assert sigma_generator(s, i).m == lift
-                assert monomial_lift(s, i, 1).reconstruct().m == lift
-                assert monomial_lift(s, i, -1).reconstruct().m == lift.inv()
+                for e in (1, -1):
+                    assert fast(s, ((i, e),)) == dense(s, ((i, e),))
 
 
 def test_sigma_square_and_fourth_power():
@@ -132,10 +148,11 @@ def test_evaluate_word_identities():
         evaluate_word(s, parse_word(3, "1"))
 
 
-def test_evaluate_word_matches_the_dense_product():
-    # the monomial fold against the dense product of the written-out
-    # lifts; the second half draws letters from two indices, so every word
-    # repeats a letter and uses both exponents of it
+def test_fold_matches_the_dense_product():
+    # the fold and scales_at against evaluate_word, the dense product of
+    # the written-out lifts; the second half draws letters from two
+    # indices, so every word repeats a letter and uses both exponents of
+    # it
     rng = random.Random(23)
     for trial in range(80):
         n = rng.randint(1, 4)
@@ -150,21 +167,22 @@ def test_evaluate_word_matches_the_dense_product():
                                 for _ in range(rng.randint(1, 12))]
             rng.shuffle(signed)
             w = BraidWord.from_ints(n, signed)
-        assert evaluate_word(s, w).m == dense_word(s, w.letters)
+        assert fast(s, w.letters) == dense(s, w.letters)
 
 
-def test_monomial_lift_times_its_inverse_is_the_identity():
+def test_lift_times_its_inverse_is_the_identity():
     rng = random.Random(31)
     for n in (1, 2, 3, 4):
         s = random_section(rng, n)
+        identity = (tuple(range(1, n + 2)), (1,) * (n + 1))
         for i in range(1, n + 1):
-            prod = monomial_word(s, BraidWord(n, ((i, 1), (i, -1))))
-            assert prod.sigma.is_identity()
-            assert prod.scales == (1,) * (n + 1)
+            for letters in (((i, 1), (i, -1)), ((i, -1), (i, 1))):
+                assert fast(s, letters) == dense(s, letters) == identity
+    # a letter is S_i or its inverse, for i in 1..n
     with pytest.raises(ValueError, match="exponent must be"):
-        monomial_lift(TitsSection.ones(2), 1, 2)
+        BraidWord(2, ((1, 2),))
     with pytest.raises(ValueError, match="out of range"):
-        monomial_lift(TitsSection.ones(2), 3, 1)
+        BraidWord(2, ((3, 1),))
 
 
 def test_word_permutation_is_the_natural_projection():
@@ -176,28 +194,7 @@ def test_word_permutation_is_the_natural_projection():
         w = parse_word(n, " ".join(
             str(rng.choice([-1, 1]) * rng.randint(1, n))
             for _ in range(rng.randint(0, 15))))
-        assert natural_projection(w) == monomial_word(s, w).sigma
-
-
-def test_monomial_word_validates_once_per_word(monkeypatch):
-    # a product of valid factors is valid, so only the word's value is
-    # built as a record, whatever the word's length
-    rng = random.Random(37)
-    s = random_section(rng, 4)
-    words = [BraidWord(4, tuple((rng.randint(1, 4), rng.choice((1, -1)))
-                                for _ in range(length)))
-             for length in (0, 40, 400)]
-    expected = [monomial_word(s, w) for w in words]
-    built = []
-    for cls in (MonomialDecomposition, Permutation):
-        def counted(self, post=cls.__post_init__):
-            built.append(type(self).__name__)
-            post(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    for w, value in zip(words, expected):
-        built.clear()
-        assert monomial_word(s, w) == value
-        assert sorted(built) == ["MonomialDecomposition", "Permutation"]
+        assert natural_projection(w) == coset_class(evaluate_word(s, w))
 
 
 def _random_word(rng, n, longest):
@@ -210,17 +207,15 @@ def test_generic_value_at_random_sections_is_the_dense_product():
     for _ in range(40):
         n = rng.randint(1, 6)
         letters = _random_word(rng, n, 40).letters
-        value = letters_fold(n)(letters)
         for _ in range(2):
             s = random_section(rng, n)
-            assert value_at(s, value).reconstruct().m == dense_word(s, letters)
+            assert fast(s, letters) == dense(s, letters)
     # one long word, whose value at a = 1 has been negated thousands of
     # times on its way
     w = BraidWord(3, tuple((rng.randint(1, 3), rng.choice((1, -1)))
                            for _ in range(5000)))
     s = random_section(rng, 3)
-    assert value_at(s, letters_fold(3)(w.letters)).reconstruct().m == \
-        dense_word(s, w.letters)
+    assert fast(s, w.letters) == dense(s, w.letters)
 
 
 WORDS_AND_SECTIONS = st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -237,7 +232,7 @@ def test_eval_word_prints_the_dense_product_of_determinant_one(case):
     # the product of its scales equal to 1, as the dense product does,
     # and the matrix it prints is that dense product
     signed, s = case
-    dense = dense_word(s, BraidWord.from_ints(s.n, signed).letters)
+    value = evaluate_word(s, BraidWord.from_ints(s.n, signed)).m
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["eval-word", "--n", str(s.n),
@@ -247,34 +242,37 @@ def test_eval_word_prints_the_dense_product_of_determinant_one(case):
     payload = json.loads(out.getvalue())
     sign = Permutation(tuple(payload["permutation"])).sign()
     scales = map(Fraction, payload["scales"])
-    assert sign * math.prod(scales) == 1 == dense.det()
-    assert payload["matrix"] == matrix_to_json(dense)
+    assert sign * math.prod(scales) == 1 == value.det()
+    assert payload["matrix"] == matrix_to_json(value)
 
 
 def test_value_at_a_section_is_the_torus_conjugate_of_the_value_at_one():
-    # with t_k = a_k ... a_n, S_w(a) = diag(t) S_w(1) diag(t)^-1, so column
-    # j of the value at s is eps_j t_{sigma(j)} / t_j in row sigma(j)
+    # with t_k = a_k ... a_n, S_w(a) = diag(t) S_w(1) diag(t)^-1 for the
+    # dense products, so column j of the value at s is
+    # eps_j t_{sigma(j)} / t_j in row sigma(j), as scales_at has it
     rng = random.Random(103)
     for _ in range(60):
         n = rng.randint(1, 6)
-        value = letters_fold(n)(_random_word(rng, n, 40).letters)
+        w = _random_word(rng, n, 40)
+        value = letters_fold(n)(w.letters)
         s = random_section(rng, n)
         t = [Fraction(1)] * (n + 1)
         for k in reversed(range(n)):
             t[k] = s.params[k] * t[k + 1]
         d = Matrix.diagonal(t)
-        at_one = value_at(TitsSection.ones(n), value).reconstruct().m
-        at_s = value_at(s, value)
-        assert at_s.reconstruct().m == d * at_one * d.inv()
+        at_one = evaluate_word(TitsSection.ones(n), w).m
+        at_s = evaluate_word(s, w).m
+        assert at_s == d * at_one * d.inv()
+        scales = scales_at(s, value)
         for j, x in enumerate(value):
             row, sign = abs(x), (1 if x > 0 else -1)
-            assert at_s.sigma(j + 1) == row
-            assert at_s.scales[j] == sign * t[row - 1] / t[j]
+            assert at_one[row, j + 1] == sign
+            assert at_s[row, j + 1] == scales[j] == sign * t[row - 1] / t[j]
 
 
 def test_generic_and_section_verdicts_agree():
-    # the verdict at s is the verdict at a = 1: two words have equal values
-    # at a section exactly when their folds are equal
+    # the verdict at s is the verdict at a = 1: two words have equal dense
+    # values at a section exactly when their folds are equal
     rng = random.Random(107)
     outcomes = set()
     for _ in range(200):
@@ -285,9 +283,10 @@ def test_generic_and_section_verdicts_agree():
         # S_i^4 = 1 holds at every section, S_i^2 is a sign change
         insert = ((i, rng.choice((1, -1))),) * rng.choice((2, 4))
         v = u[:cut] + insert + u[cut:]
+        at_s = evaluate_word(s, BraidWord(n, u))
         for x in (v, _random_word(rng, n, 20).letters):
             at_one = fold(u) == fold(x)
-            assert at_one == (value_at(s, fold(u)) == value_at(s, fold(x)))
+            assert at_one == (at_s == evaluate_word(s, BraidWord(n, x)))
             outcomes.add(at_one)
     assert outcomes == {True, False}
 
@@ -342,9 +341,9 @@ def test_adjoint_group_is_the_quotient_by_plus_minus_one_at_odd_rank(
 
 def test_fold_rejects_words_of_another_rank():
     with pytest.raises(ValueError, match="rank-2"):
-        monomial_word(TitsSection.ones(2), BraidWord.from_ints(3, [3]))
+        evaluate_word(TitsSection.ones(2), BraidWord.from_ints(3, [3]))
     with pytest.raises(ValueError, match="rank mismatch"):
-        value_at(TitsSection.ones(2), letters_fold(3)(()))
+        scales_at(TitsSection.ones(2), letters_fold(3)(()))
 
 
 def test_normalizer_decompose_diagonal_and_permutation():
