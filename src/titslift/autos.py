@@ -46,7 +46,7 @@ class AlgebraAutomorphism:
 
 
 # kept as a cache because bench/traced_cli.py reads its cache_info()
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _tau_power(n: int, i: int, e: int) -> AlgebraAutomorphism:
     """tau_i^e for a letter's exponent e, which is +1 or -1: conjugation
     by S_i^e, the e-th power of the parameter-1 lift."""

@@ -178,24 +178,21 @@ def main(argv: list[str] | None = None) -> int:
         print("error: rank too large to allocate", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:  # stdout closed early or full: not a verdict
-        _discard_stdout()  # drop the unflushed rest, so exit stays quiet
         print("error: standard output", "was closed" if isinstance(
             exc, BrokenPipeError) else f"failed: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return code
 
 
-def _discard_stdout() -> None:
+def run() -> None:
+    """main as a process: end at once with its exit code, skipping the
+    interpreter's teardown; a fault raised by main keeps its traceback."""
     import os
 
-    try:
-        fd = sys.stdout.fileno()
-    except (OSError, ValueError):
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)  # no exit-time flush: main flushed stdout itself
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -138,8 +138,8 @@ def sigma_generator(s: TitsSection, i: int) -> GroupElement:
 def exp_construction(n: int, i: int) -> GroupElement:
     """The all-ones lift as exp(e_i) exp(-f_i) exp(e_i), an independent
     construction that must agree with sigma_generator at parameter 1."""
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range 1..{n}")
+    if type(i) is not int or not 1 <= i <= n:
+        raise ValueError(f"generator index {i!r} out of range 1..{n}")
     e = Matrix.unit(n + 1, i, i + 1)
     f = Matrix.unit(n + 1, i + 1, i)
     return GroupElement(exp_nilpotent(e) * exp_nilpotent(-f) * exp_nilpotent(e))

@@ -64,6 +64,17 @@ def test_rank_one_generator_action():
     assert tau.apply(h) == -h
 
 
+def test_generator_index_is_checked_after_a_cached_call():
+    # a bool or float index equals an int one, so an untyped cache would
+    # answer tau_generator(2, True) with the cached tau_1 unchecked
+    tau_generator(2, 1)
+    for i in (True, 1.0):
+        with pytest.raises(ValueError, match="out of range"):
+            tau_generator(2, i)
+        with pytest.raises(ValueError, match="out of range"):
+            exp_construction(2, i)
+
+
 def test_generator_action_on_adjacent_chevalley_elements():
     tau = tau_generator(2, 1)
     # tau_1 swaps the first two basis vectors of the natural module,

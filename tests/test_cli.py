@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, JSON payloads, file handling."""
 
 import importlib
+import hashlib
 import io
 import itertools
 import json
@@ -667,20 +668,90 @@ def test_closed_stdout_is_an_io_error_not_a_verdict(monkeypatch, capsys):
     _assert_input_error(code, err)
 
 
-def _cli(argv, **kwargs):
-    """python -m titslift.cli argv in a child process, with this checkout's
-    package on its path."""
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _env():
+    """The environment of a child process, with this checkout's package
+    on its path and stdout block-buffered to a pipe or file, as a shell
+    gives it, so that output left unflushed at exit would be lost."""
     env = dict(os.environ)
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"),
+                                         env.get("PYTHONPATH", "")])
+    return env
+
+
+def _cli(argv, **kwargs):
+    """python -m titslift.cli argv in a child process."""
     return subprocess.Popen([sys.executable, "-m", "titslift.cli", *argv],
-                            env=env, stderr=subprocess.PIPE, **kwargs)
+                            env=_env(), stderr=subprocess.PIPE, **kwargs)
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# golden.json entries of each kind of output the process path must carry
+PROCESS_CALLS = [
+    ["verify", "--n", "12", "--level", "all"],  # the largest report
+    ["verify", "--n", "3", "--level", "all", "--json", "report.json"],
+    ["eval-word", "--n", "3", "--word", " 1 2 -3 1 ", "--params=2,-1/3,5"],
+    ["normalizer-check", "--matrix", "matrix19.json"],  # monomial
+    ["normalizer-check", "--matrix", "matrix20.json"],  # not monomial: 1
+    ["verify", "--n", "two"],  # usage error: 2
+    ["--help"],
+]
+
+
+def test_the_process_path_loses_no_output(tmp_path):
+    # a child ends in os._exit, which flushes nothing at exit: what main
+    # wrote must already be out, byte for byte as the corpus holds it
+    corpus = json.loads((ROOT / "tests" / "golden.json").read_text(
+        encoding="utf-8"))["calls"]
+    entries = {json.dumps(c["argv"]): c for c in corpus}
+    for k, argv in enumerate(PROCESS_CALLS):
+        expected = entries[json.dumps(argv)]
+        workdir = tmp_path / str(k)
+        workdir.mkdir()
+        for name, text in expected["files"].items():
+            (workdir / name).write_text(text, encoding="utf-8")
+        proc = _cli(argv, stdout=subprocess.PIPE, cwd=workdir)
+        out, err = proc.communicate(timeout=120)
+        report = workdir / "report.json"
+        got = {"code": proc.returncode,
+               "stdout_sha256": _sha(out), "stderr_sha256": _sha(err),
+               "json_sha256": _sha(report.read_bytes())
+               if report.exists() else None}
+        assert got == {key: expected[key] for key in got}, argv
+
+
+def test_a_fault_in_the_process_path_keeps_its_traceback():
+    # an exception that escapes main never reaches os._exit, so the
+    # interpreter prints it and exits 1 as for any uncaught exception
+    fault = """
+import sys
+import titslift.sweep as sweep
+from titslift import cli
+def verdict_rows(n, level):
+    raise RuntimeError("a fault")
+sweep.verdict_rows = verdict_rows
+sys.argv = ["titslift", "verify", "--n", "2"]
+cli.run()
+"""
+    proc = subprocess.run([sys.executable, "-c", fault], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" in proc.stderr
+    assert "RuntimeError: a fault" in proc.stderr
 
 
 def test_stdout_closed_by_its_reader_is_an_io_error_not_a_verdict():
     # the rank-32 report is far larger than a pipe buffer, so the child is
     # still writing when the reader goes away; the exit must stay quiet,
-    # with no second error when the interpreter flushes stdout at exit
+    # with one error line and none for the unwritten rest, which
+    # os._exit drops
     proc = _cli(["verify", "--n", "32"], stdout=subprocess.PIPE)
     try:
         assert proc.stdout.read(16) == b'{\n  "n": 32,\n  "'

@@ -121,10 +121,10 @@ def _lines(modules):
 
 
 @pytest.mark.parametrize("argv,budget", [
-    (["verify", "--n", "3", "--level", "all"], 333),
+    (["verify", "--n", "3", "--level", "all"], 330),
     (["eval-word", "--n", "3", "--word", "1 2 -3 1", "--params=2,-1/3,5"],
-     553),
-    (["normalizer-check", "--matrix", "m.json"], 460),
+     550),
+    (["normalizer-check", "--matrix", "m.json"], 457),
 ], ids=["verify", "eval-word", "normalizer-check"])
 def test_subcommands_compile_at_most_their_line_budget(tmp_path, argv,
                                                        budget):
@@ -174,6 +174,20 @@ def test_sweep_imports_nothing():
     tree = ast.parse((ROOT / "src" / "titslift" / "sweep.py").read_text())
     assert not [node for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_the_console_script_runs_what_the_main_block_runs():
+    # one process entry point, whether titslift is installed or run as
+    # python -m titslift.cli
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["titslift"]
+    tree = ast.parse((ROOT / "src" / "titslift" / "cli.py").read_text())
+    block, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    call, = block.body
+    assert isinstance(call, ast.Expr) and ast.unparse(call) == "run()"
+    assert script == f"titslift.cli:{call.value.func.id}"
 
 
 def test_no_module_imports_cli():
